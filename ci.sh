@@ -159,31 +159,19 @@ go run ./cmd/pmemspec-crash -workload queue -threads 2 -ops 12 -points 3 -maxus 
 	-parallel 8 -report /tmp/pmemspec-campaign-p8.json >/dev/null
 cmp /tmp/pmemspec-campaign-p1.json /tmp/pmemspec-campaign-p8.json
 
-stage metrics-determinism "metrics grid determinism (step core, pool width 1 vs 8)"
+stage metrics-determinism "metrics grid determinism (pool width 1 vs 8)"
 # The observability layer's acceptance check: the (design, workload)
 # metrics grid of a small Figure 9 sweep must serialize byte-identically
-# whether the runs share one worker or race across eight. The execution
-# core is pinned to the default step core explicitly so an inherited
-# PMEMSPEC_EXEC_CORE cannot silently change what this gate measures.
-# The -parallel 1 run doubles as the fresh wall-clock record for the
-# perf gate below.
+# whether the runs share one worker or race across eight. The
+# -parallel 1 run doubles as the fresh wall-clock record for the perf
+# gate below.
 go build -o /tmp/pmemspec-bench ./cmd/pmemspec-bench
-PMEMSPEC_EXEC_CORE=step /tmp/pmemspec-bench -experiment fig9 -ops 50 -threads 2 -seed 1 -parallel 1 -json \
+/tmp/pmemspec-bench -experiment fig9 -ops 50 -threads 2 -seed 1 -parallel 1 -json \
 	-metrics-out /tmp/pmemspec-metrics-p1.json \
 	-bench-out /tmp/pmemspec-bench-small.json >/dev/null
-PMEMSPEC_EXEC_CORE=step /tmp/pmemspec-bench -experiment fig9 -ops 50 -threads 2 -seed 1 -parallel 8 -json \
+/tmp/pmemspec-bench -experiment fig9 -ops 50 -threads 2 -seed 1 -parallel 8 -json \
 	-metrics-out /tmp/pmemspec-metrics-p8.json >/dev/null
 cmp /tmp/pmemspec-metrics-p1.json /tmp/pmemspec-metrics-p8.json
-
-stage exec-core-identity "execution-core identity (step vs handshake, tiny grid)"
-# Both execution cores must produce byte-identical metrics: the step
-# core's inline dispatch is a pure mechanism change, and this is the
-# cross-check that keeps the legacy handshake core honest as an oracle.
-PMEMSPEC_EXEC_CORE=step /tmp/pmemspec-bench -experiment fig9 -ops 12 -threads 2 -seed 1 -parallel 1 -json \
-	-metrics-out /tmp/pmemspec-metrics-step.json >/dev/null
-PMEMSPEC_EXEC_CORE=handshake /tmp/pmemspec-bench -experiment fig9 -ops 12 -threads 2 -seed 1 -parallel 1 -json \
-	-metrics-out /tmp/pmemspec-metrics-handshake.json >/dev/null
-cmp /tmp/pmemspec-metrics-step.json /tmp/pmemspec-metrics-handshake.json
 
 stage bench-cmp "bench-cmp small-grid perf gate"
 # Wall-clock regression gate against the checked-in small-grid baseline.

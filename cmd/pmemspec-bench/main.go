@@ -33,7 +33,6 @@ import (
 	"pmemspec/internal/harness"
 	"pmemspec/internal/machine"
 	"pmemspec/internal/metrics"
-	"pmemspec/internal/sim"
 )
 
 // benchOut is the wall-clock record -bench-out writes: one entry per
@@ -44,7 +43,6 @@ type benchOut struct {
 	Threads     int                `json:"threads"`
 	Ops         int                `json:"ops"`
 	Seed        int64              `json:"seed"`
-	ExecCore    string             `json:"exec_core"` // "step" or "handshake"
 	Experiments map[string]float64 `json:"experiments_seconds"`
 	Total       float64            `json:"total_seconds"`
 }
@@ -195,7 +193,6 @@ func main() {
 		Threads:     *threads,
 		Ops:         *ops,
 		Seed:        *seed,
-		ExecCore:    sim.DefaultExecCore.String(),
 		Experiments: map[string]float64{},
 	}
 	if record.Parallel <= 0 {

@@ -8,7 +8,7 @@ import (
 )
 
 func record(exp map[string]float64) benchRecord {
-	return benchRecord{Parallel: 1, NumCPU: 1, Threads: 8, Ops: 400, Seed: 1, ExecCore: "step", Experiments: exp}
+	return benchRecord{Parallel: 1, NumCPU: 1, Threads: 8, Ops: 400, Seed: 1, Experiments: exp}
 }
 
 func TestCompareWithinTolerance(t *testing.T) {
@@ -89,24 +89,19 @@ func TestConfigMismatch(t *testing.T) {
 	if configMismatch(a, a) != "" {
 		t.Fatal("identical configs must compare")
 	}
-	b = a
-	b.ExecCore = "handshake"
-	if why := configMismatch(a, b); !strings.Contains(why, "exec_core") {
-		t.Fatalf("exec-core mismatch must be refused, got %q", why)
-	}
 }
 
 func TestReadRecordRefusesStaleBaseline(t *testing.T) {
-	// A record without exec_core predates core stamping: its wall-clocks
-	// may have been measured on the handshake core and must be refused
-	// rather than silently compared.
+	// A record stamped with exec_core was written in an older schema,
+	// when two execution cores existed; the strict loader refuses it
+	// rather than silently comparing wall-clocks of unknown provenance.
 	path := filepath.Join(t.TempDir(), "stale.json")
-	stale := `{"parallel":1,"num_cpu":1,"threads":8,"ops":400,"seed":1,` +
+	stale := `{"parallel":1,"num_cpu":1,"threads":8,"ops":400,"seed":1,"exec_core":"step",` +
 		`"experiments_seconds":{"fig9":10},"total_seconds":10}`
 	if err := os.WriteFile(path, []byte(stale), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readRecord(path); err == nil || !strings.Contains(err.Error(), "exec_core") {
-		t.Fatalf("readRecord(stale) = %v, want exec_core refusal", err)
+	if _, err := readRecord(path); err == nil || !strings.Contains(err.Error(), `unknown field "exec_core"`) {
+		t.Fatalf("readRecord(stale) = %v, want an unknown-field refusal of exec_core", err)
 	}
 }

@@ -56,8 +56,8 @@ func TestSelectAnalyzersUnknownName(t *testing.T) {
 			t.Errorf("error omits valid analyzer %q: %s", n, msg)
 		}
 	}
-	// Sorted: epochmerge (opt) must precede persistflow (default).
-	if strings.Index(msg, "epochmerge") > strings.Index(msg, "persistflow") {
+	// Sorted: fencehoist (opt) must precede persistflow (default).
+	if strings.Index(msg, "fencehoist") > strings.Index(msg, "persistflow") {
 		t.Errorf("valid set not sorted: %s", msg)
 	}
 }

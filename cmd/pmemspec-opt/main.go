@@ -1,9 +1,9 @@
 // Command pmemspec-opt closes the optimize→simulate→verify loop: it
-// runs the optimization analyzers (flushcoalesce, fencehoist,
-// epochmerge) over the module's workloads, applies their suggested
-// edits to a sandboxed copy, re-analyzes the copy, re-simulates the
-// edited workloads and cross-checks the crash campaign, then reports
-// simulated kernel-time deltas per (design, workload, optimization).
+// runs the optimization analyzers (flushcoalesce, fencehoist) over the
+// module's workloads, applies their suggested edits to a sandboxed
+// copy, re-analyzes the copy, re-simulates the edited workloads and
+// cross-checks the crash campaign, then reports simulated kernel-time
+// deltas per (design, workload, optimization).
 //
 //	pmemspec-opt -workloads naivelog,naivescan [-opts flushcoalesce]
 //	             [-designs IntelX86,DPO] [-threads 2] [-ops 12]
@@ -108,7 +108,7 @@ func main() {
 			fatal(err)
 		}
 		fmt.Fprint(os.Stderr, opt.FormatTable(rep))
-		fmt.Fprintf(os.Stderr, "pmemspec-opt: total simulated savings %d ns across applicable cells\n", rep.TotalDelta())
+		fmt.Fprintf(os.Stderr, "pmemspec-opt: total simulated savings %d ns across all cells\n", rep.TotalDelta())
 		if *jsonOut {
 			emit(rep)
 		}

@@ -92,7 +92,7 @@ func main() {
 	}
 	// The resolved address on stdout is the machine-readable readiness
 	// line: -addr :0 picks a free port and smoke harnesses parse this.
-	fmt.Printf("pmemspec-serve: listening on %s (version %s)\n", ln.Addr(), serve.CodeVersion())
+	fmt.Printf("pmemspec-serve: listening on %s (version %s)\n", ln.Addr(), srv.Version())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -91,7 +91,7 @@ func Analyzers() []*Analyzer {
 // via -c and pmemspec-opt drives them through the
 // optimize→simulate→verify loop.
 func OptAnalyzers() []*Analyzer {
-	return []*Analyzer{FlushCoalesce, FenceHoist, EpochMerge}
+	return []*Analyzer{FlushCoalesce, FenceHoist}
 }
 
 // FactStore carries analyzer-computed facts about objects across

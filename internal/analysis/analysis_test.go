@@ -117,7 +117,6 @@ func TestSimDeterminismGolden(t *testing.T) { runGolden(t, SimDeterminism, "simd
 func TestPoolCaptureGolden(t *testing.T)    { runGolden(t, PoolCapture, "poolcapturetest") }
 func TestFlushCoalesceGolden(t *testing.T)  { runGolden(t, FlushCoalesce, "flushcoalescetest") }
 func TestFenceHoistGolden(t *testing.T)     { runGolden(t, FenceHoist, "fencehoisttest") }
-func TestEpochMergeGolden(t *testing.T)     { runGolden(t, EpochMerge, "epochmergetest") }
 
 // TestRepoLintsClean is the repository's own gate: the full module must
 // produce zero diagnostics under all analyzers.

@@ -22,7 +22,6 @@ func TestOptimizerFixLoops(t *testing.T) {
 	}{
 		{FlushCoalesce, "flushcoalescetest"},
 		{FenceHoist, "fencehoisttest"},
-		{EpochMerge, "epochmergetest"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.analyzer.Name, func(t *testing.T) {

@@ -31,10 +31,8 @@ import (
 // any per-op round trip through the Go scheduler both breaks the
 // inline-dispatch model and reintroduces the host-scheduler costs the
 // step core exists to remove. Simulated concurrency belongs in
-// Kernel.Spawn / events / Block+Wake. The legacy handshake vehicle in
-// sim/coro.go — whose whole point is a goroutine per thread — opts its
-// functions out with //lint:allow simdeterminism on the declaration;
-// the harness's host-side worker pool is outside the gated path set.
+// Kernel.Spawn / events / Block+Wake. The harness's host-side worker
+// pool is outside the gated path set.
 //
 // Intentional wall-clock use (e.g. measuring host elapsed time in
 // pmemspec-bench) is annotated with //lint:allow simdeterminism.
@@ -70,9 +68,6 @@ func runSimDeterminism(pass *Pass) error {
 	info := pass.Pkg.Info
 	for _, fd := range funcDecls(pass.Pkg) {
 		body := fd.decl.Body
-		// A declaration-level allow opts the whole function out of the
-		// host-concurrency ban (the legacy handshake vehicle).
-		conc := threadCode && !pass.SuppressedAt(fd.decl.Pos())
 		ast.Inspect(body, func(n ast.Node) bool {
 			if base {
 				switch n := n.(type) {
@@ -82,7 +77,7 @@ func runSimDeterminism(pass *Pass) error {
 					sdCheckRange(pass, info, n, body)
 				}
 			}
-			if conc {
+			if threadCode {
 				sdCheckHostConcurrency(pass, info, n)
 			}
 			return true

@@ -84,13 +84,6 @@ func channelHandshake(n int) int {
 	return <-ch             // want "channel receive in simulated-thread code"
 }
 
-//lint:allow simdeterminism handshake vehicle fixture: declaration-level opt-out
-func allowedHandshake(n int) int {
-	ch := make(chan int, 1)
-	go func() { ch <- n }()
-	return <-ch
-}
-
 func makeNotChan(n int) []int {
 	return make([]int, n)
 }

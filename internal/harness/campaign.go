@@ -231,7 +231,10 @@ func (r *Runner) RunCampaign(cfg CampaignConfig) (CampaignReport, error) {
 				CrashAtNS: NoCrash.AtNS, Label: "boundary-discovery", Err: err})
 			prefix = append(prefix, t)
 		}
-		pts := capPoints(MergePoints(uniform, discovered[i]), cfg.MaxPoints)
+		pts := MergePoints(uniform, discovered[i])
+		if cfg.MaxPoints > 0 {
+			pts = Stride(pts, cfg.MaxPoints)
+		}
 		for _, pt := range pts {
 			specs = append(specs, spec(c, pt))
 		}

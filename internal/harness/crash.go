@@ -296,8 +296,8 @@ func (b Boundaries) Points(budget int) []CrashPoint {
 		if quotaD < 0 {
 			quotaD = 0
 		}
-		drains = subsample(drains, quotaD)
-		admits = subsample(admits, budget-len(drains))
+		drains = Stride(drains, quotaD)
+		admits = Stride(admits, budget-len(drains))
 	}
 	var out []CrashPoint
 	add := func(ts []int64, kind string) {
@@ -333,18 +333,19 @@ func dedupSortedNS(ts []int64) []int64 {
 	return out
 }
 
-// subsample deterministically keeps at most n elements of ts, evenly
-// strided across the full slice.
-func subsample(ts []int64, n int) []int64 {
+// Stride deterministically keeps at most n elements of xs (none when
+// n ≤ 0), evenly strided across the whole slice, so a capped sweep
+// keeps its full span at lower density.
+func Stride[T any](xs []T, n int) []T {
 	if n <= 0 {
 		return nil
 	}
-	if len(ts) <= n {
-		return ts
+	if len(xs) <= n {
+		return xs
 	}
-	out := make([]int64, 0, n)
+	out := make([]T, 0, n)
 	for i := 0; i < n; i++ {
-		out = append(out, ts[i*len(ts)/n])
+		out = append(out, xs[i*len(xs)/n])
 	}
 	return out
 }
@@ -369,19 +370,6 @@ func MergePoints(lists ...[]CrashPoint) []CrashPoint {
 			continue
 		}
 		out = append(out, p)
-	}
-	return out
-}
-
-// capPoints deterministically limits a merged point list to at most n
-// entries, keeping the sweep's time span.
-func capPoints(pts []CrashPoint, n int) []CrashPoint {
-	if n <= 0 || len(pts) <= n {
-		return pts
-	}
-	out := make([]CrashPoint, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, pts[i*len(pts)/n])
 	}
 	return out
 }

@@ -25,6 +25,7 @@ package litmus
 
 import (
 	"fmt"
+	"slices"
 
 	"pmemspec/internal/analysis/dataflow"
 	"pmemspec/internal/fatomic"
@@ -108,6 +109,12 @@ type Pattern struct {
 	// design order (IntelX86, DPO, HOPS, StrandWeaver, PMEM-Spec);
 	// TestCorpusExpectations pins the lattice fold to it.
 	Expect [5]bool
+}
+
+// Expected is the pattern's hand-derived verdict on od: its column of
+// Expect.
+func (p Pattern) Expected(od dataflow.OrderDesign) bool {
+	return p.Expect[slices.Index(dataflow.OrderDesigns(), od)]
 }
 
 // MT reports whether the pattern is multi-threaded.
@@ -501,27 +508,4 @@ func (pr *Program) Verify(img *mem.Image, completedOps uint64) error {
 		pr.Witnessed = true
 	}
 	return nil
-}
-
-// designPairs matches the analysis-side design enum with the machine
-// enum by name, in canonical (report) order.
-func designPairs() []struct {
-	Order   dataflow.OrderDesign
-	Machine machine.Design
-} {
-	var out []struct {
-		Order   dataflow.OrderDesign
-		Machine machine.Design
-	}
-	for _, od := range dataflow.OrderDesigns() {
-		for _, md := range machine.AllDesigns {
-			if md.String() == od.String() {
-				out = append(out, struct {
-					Order   dataflow.OrderDesign
-					Machine machine.Design
-				}{od, md})
-			}
-		}
-	}
-	return out
 }

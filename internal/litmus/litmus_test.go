@@ -14,8 +14,8 @@ func TestCorpusSize(t *testing.T) {
 	if len(c) < 40 {
 		t.Fatalf("corpus has %d patterns, want >= 40", len(c))
 	}
-	if pairs := designPairs(); len(pairs) != 5 {
-		t.Fatalf("designPairs matched %d designs, want 5", len(pairs))
+	if _, pairs := Select(c, "", 0, nil); len(pairs) != 5 {
+		t.Fatalf("Select matched %d designs, want 5", len(pairs))
 	}
 	if cells := len(c) * 5; cells < 200 {
 		t.Fatalf("corpus covers %d cells, want >= 200", cells)
@@ -139,14 +139,14 @@ func TestLitmusReportDeterministic(t *testing.T) {
 // bounded, spread across the corpus.
 func TestSubsamplePatterns(t *testing.T) {
 	c := Corpus()
-	sub := subsamplePatterns(c, 8)
+	sub, _ := Select(c, "", 8, nil)
 	if len(sub) != 8 {
 		t.Fatalf("subsample returned %d patterns, want 8", len(sub))
 	}
 	if sub[0].Name != c[0].Name {
 		t.Errorf("subsample should keep the first pattern, got %q", sub[0].Name)
 	}
-	again := subsamplePatterns(c, 8)
+	again, _ := Select(c, "", 8, nil)
 	for i := range sub {
 		if sub[i].Name != again[i].Name {
 			t.Fatalf("subsample not deterministic at %d: %q vs %q", i, sub[i].Name, again[i].Name)

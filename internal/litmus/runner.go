@@ -2,6 +2,7 @@ package litmus
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"pmemspec/internal/analysis/dataflow"
@@ -85,27 +86,41 @@ func (r Report) Summary() string {
 		r.Refuted, r.Mismatches, r.FailedCells, r.Trials)
 }
 
-// expectIndex maps a design to its column in Pattern.Expect.
-func expectIndex(od dataflow.OrderDesign) int {
-	for i, d := range dataflow.OrderDesigns() {
-		if d == od {
-			return i
-		}
-	}
-	return -1
+// DesignPair is one design under both of its names: the order design
+// the static fold judges and the machine design the simulator runs.
+type DesignPair struct {
+	Order   dataflow.OrderDesign
+	Machine machine.Design
 }
 
-// subsamplePatterns deterministically stride-selects at most max
-// patterns, keeping the corpus's coverage spread.
-func subsamplePatterns(ps []Pattern, max int) []Pattern {
-	if max <= 0 || len(ps) <= max {
-		return ps
+// Select picks a campaign's cells, shared by the litmus runner and the
+// model checker: the corpus patterns whose name contains pattern,
+// stride-subsampled to at most maxPatterns (0: all), crossed with the
+// designs named in designs (case-insensitive; empty: all five). Both
+// come back in canonical report order, so a fixed selection always
+// sweeps the same cells.
+func Select(corpus []Pattern, pattern string, maxPatterns int, designs []string) ([]Pattern, []DesignPair) {
+	var patterns []Pattern
+	for _, p := range corpus {
+		if strings.Contains(p.Name, pattern) {
+			patterns = append(patterns, p)
+		}
 	}
-	out := make([]Pattern, 0, max)
-	for i := 0; i < max; i++ {
-		out = append(out, ps[i*len(ps)/max])
+	if maxPatterns > 0 {
+		patterns = harness.Stride(patterns, maxPatterns)
 	}
-	return out
+	wanted := func(name string) bool {
+		return len(designs) == 0 || slices.ContainsFunc(designs, func(d string) bool { return strings.EqualFold(d, name) })
+	}
+	var pairs []DesignPair
+	for _, od := range dataflow.OrderDesigns() {
+		for _, md := range machine.AllDesigns {
+			if md.String() == od.String() && wanted(od.String()) {
+				pairs = append(pairs, DesignPair{od, md})
+			}
+		}
+	}
+	return patterns, pairs
 }
 
 // Run executes the litmus campaign described by opts over the corpus
@@ -116,33 +131,7 @@ func Run(opts Options) Report {
 
 // RunCorpus is Run over an explicit pattern set (tests use small ones).
 func RunCorpus(corpus []Pattern, opts Options) Report {
-	patterns := make([]Pattern, 0, len(corpus))
-	for _, p := range corpus {
-		if opts.Pattern == "" || strings.Contains(p.Name, opts.Pattern) {
-			patterns = append(patterns, p)
-		}
-	}
-	patterns = subsamplePatterns(patterns, opts.MaxPatterns)
-
-	wantDesign := func(name string) bool {
-		if len(opts.Designs) == 0 {
-			return true
-		}
-		for _, d := range opts.Designs {
-			if strings.EqualFold(d, name) {
-				return true
-			}
-		}
-		return false
-	}
-	pairs := designPairs()
-	kept := pairs[:0]
-	for _, pr := range pairs {
-		if wantDesign(pr.Order.String()) {
-			kept = append(kept, pr)
-		}
-	}
-	pairs = kept
+	patterns, pairs := Select(corpus, opts.Pattern, opts.MaxPatterns, opts.Designs)
 
 	// One job per cell; jobs are independent (fresh Program instances,
 	// fresh machines) and RunAll keys results by index, so the report is
@@ -195,7 +184,7 @@ func runCell(p Pattern, od dataflow.OrderDesign, md machine.Design, budget int) 
 		Pattern:  p.Name,
 		Design:   od.String(),
 		Static:   StaticOrdered(p, od),
-		Expected: p.Expect[expectIndex(od)],
+		Expected: p.Expected(od),
 	}
 	spec := harness.TrialSpec{
 		Design: md,

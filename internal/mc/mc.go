@@ -106,42 +106,16 @@ func Run(opts Options) Report {
 
 // RunCorpus is Run over an explicit pattern set (tests use small ones).
 func RunCorpus(corpus []litmus.Pattern, opts Options) Report {
-	patterns := make([]litmus.Pattern, 0, len(corpus))
-	for _, p := range corpus {
-		if opts.Pattern == "" || strings.Contains(p.Name, opts.Pattern) {
-			patterns = append(patterns, p)
-		}
-	}
-	patterns = subsample(patterns, opts.MaxPatterns)
-
-	wantDesign := func(name string) bool {
-		if len(opts.Designs) == 0 {
-			return true
-		}
-		for _, d := range opts.Designs {
-			if strings.EqualFold(d, name) {
-				return true
-			}
-		}
-		return false
-	}
-	pairs := designPairs()
-	kept := pairs[:0]
-	for _, pr := range pairs {
-		if wantDesign(pr.order.String()) {
-			kept = append(kept, pr)
-		}
-	}
-	pairs = kept
+	patterns, pairs := litmus.Select(corpus, opts.Pattern, opts.MaxPatterns, opts.Designs)
 
 	jobs := make([]harness.Job[CellResult], 0, len(patterns)*len(pairs))
 	for _, p := range patterns {
 		for _, pr := range pairs {
 			p, pr := p, pr
 			jobs = append(jobs, harness.Job[CellResult]{
-				Label: fmt.Sprintf("mc %s/%s", p.Name, pr.order),
+				Label: fmt.Sprintf("mc %s/%s", p.Name, pr.Order),
 				Run: func() (CellResult, error) {
-					return runCell(p, pr.order, pr.machine, opts.MaxSchedules), nil
+					return runCell(p, pr.Order, pr.Machine, opts.MaxSchedules), nil
 				},
 			})
 		}
@@ -192,7 +166,7 @@ func runCell(p litmus.Pattern, od dataflow.OrderDesign, md machine.Design, maxSc
 		Pattern:  p.Name,
 		Design:   od.String(),
 		Static:   litmus.StaticOrdered(p, od),
-		Expected: p.Expect[expectIndex(od)],
+		Expected: p.Expected(od),
 	}
 	enum := enumerate(p, od, maxSchedules)
 	cell.Bound = enum.Bound
@@ -284,45 +258,4 @@ func fingerprint(vec []uint64) string {
 		fmt.Fprintf(&b, "%d,", v)
 	}
 	return b.String()
-}
-
-// expectIndex maps a design to its column in Pattern.Expect.
-func expectIndex(od dataflow.OrderDesign) int {
-	for i, d := range dataflow.OrderDesigns() {
-		if d == od {
-			return i
-		}
-	}
-	return -1
-}
-
-// subsample deterministically stride-selects at most max patterns.
-func subsample(ps []litmus.Pattern, max int) []litmus.Pattern {
-	if max <= 0 || len(ps) <= max {
-		return ps
-	}
-	out := make([]litmus.Pattern, 0, max)
-	for i := 0; i < max; i++ {
-		out = append(out, ps[i*len(ps)/max])
-	}
-	return out
-}
-
-// designPair matches the analysis-side design enum with the machine
-// enum by name, in canonical (report) order.
-type designPair struct {
-	order   dataflow.OrderDesign
-	machine machine.Design
-}
-
-func designPairs() []designPair {
-	var out []designPair
-	for _, od := range dataflow.OrderDesigns() {
-		for _, md := range machine.AllDesigns {
-			if md.String() == od.String() {
-				out = append(out, designPair{od, md})
-			}
-		}
-	}
-	return out
 }

@@ -12,11 +12,7 @@
 // code must re-analyze clean, and the crash campaign is the final
 // oracle — a rewrite that breaks a workload invariant under crash +
 // misspeculation injection fails the run regardless of how plausible
-// the static argument was. Optimizations also carry a design
-// applicability set: epochmerge's argument only holds on the
-// flush-epoch designs (IntelX86, DPO, PMEM-Spec), because on the
-// store-buffered epoch designs (HOPS, StrandWeaver) every store is a
-// persist and merging epochs reorders drains.
+// the static argument was.
 //
 // Every field of the report is simulation-deterministic: two runs over
 // the same tree produce byte-identical JSON.
@@ -83,17 +79,6 @@ func (k CampaignKnobs) withDefaults() CampaignKnobs {
 	return k
 }
 
-// Applicability maps each optimization to the designs its static
-// argument covers. Flush coalescing and fence hoisting hold on every
-// design (on the buffered designs the rewritten operations are no-ops
-// or cheap-epoch closes); epoch merging holds only where fences order
-// explicit flushes.
-var Applicability = map[string][]machine.Design{
-	"flushcoalesce": machine.AllDesigns,
-	"fencehoist":    machine.AllDesigns,
-	"epochmerge":    {machine.IntelX86, machine.DPO, machine.PMEMSpec},
-}
-
 // Finding is one analyzer diagnostic in the report (module-relative).
 type Finding struct {
 	File    string `json:"file"`
@@ -104,12 +89,11 @@ type Finding struct {
 
 // CellResult is one (workload, design) measurement.
 type CellResult struct {
-	Workload   string `json:"workload"`
-	Design     string `json:"design"`
-	Applicable bool   `json:"applicable"`
-	Baseline   int64  `json:"baseline_ns"`
-	Optimized  int64  `json:"optimized_ns"`
-	Delta      int64  `json:"delta_ns"` // baseline - optimized; positive = faster
+	Workload  string `json:"workload"`
+	Design    string `json:"design"`
+	Baseline  int64  `json:"baseline_ns"`
+	Optimized int64  `json:"optimized_ns"`
+	Delta     int64  `json:"delta_ns"` // baseline - optimized; positive = faster
 }
 
 // OptReport is the per-optimization section of the report.
@@ -150,14 +134,12 @@ func (r *Report) Green() bool {
 }
 
 // TotalDelta sums the positive evidence: simulated nanoseconds saved
-// across all applicable cells.
+// across all cells.
 func (r *Report) TotalDelta() int64 {
 	var sum int64
 	for _, o := range r.Optimizations {
 		for _, c := range o.Results {
-			if c.Applicable {
-				sum += c.Delta
-			}
+			sum += c.Delta
 		}
 	}
 	return sum
@@ -255,10 +237,6 @@ func runOne(root, name string, cfg Config, designs []machine.Design, baseline ma
 		return nil, err
 	}
 	or := &OptReport{Name: name, Findings: []Finding{}, Results: []CellResult{}}
-	applicable := map[string]bool{}
-	for _, d := range Applicability[name] {
-		applicable[d.String()] = true
-	}
 
 	// Analyze the module's workload layer.
 	l, err := analysis.NewLoader(root)
@@ -282,8 +260,7 @@ func runOne(root, name string, cfg Config, designs []machine.Design, baseline ma
 				b := baseline[[2]string{wname, d.String()}]
 				or.Results = append(or.Results, CellResult{
 					Workload: wname, Design: d.String(),
-					Applicable: applicable[d.String()],
-					Baseline:   b, Optimized: b, Delta: 0,
+					Baseline: b, Optimized: b, Delta: 0,
 				})
 			}
 		}
@@ -363,40 +340,29 @@ func runOne(root, name string, cfg Config, designs []machine.Design, baseline ma
 	for _, wname := range cfg.Workloads {
 		for _, d := range designs {
 			b := baseline[[2]string{wname, d.String()}]
-			cell := CellResult{
+			opt, err := measureSandbox(sandbox, wname, d, cfg.Params)
+			if err != nil {
+				return nil, fmt.Errorf("opt: %s: simulating %s/%s in sandbox: %w", name, wname, d, err)
+			}
+			or.Results = append(or.Results, CellResult{
 				Workload: wname, Design: d.String(),
-				Applicable: applicable[d.String()],
-				Baseline:   b, Optimized: b,
-			}
-			if cell.Applicable {
-				opt, err := measureSandbox(sandbox, wname, d, cfg.Params)
-				if err != nil {
-					return nil, fmt.Errorf("opt: %s: simulating %s/%s in sandbox: %w", name, wname, d, err)
-				}
-				cell.Optimized = opt
-				cell.Delta = b - opt
-			}
-			or.Results = append(or.Results, cell)
+				Baseline: b, Optimized: opt, Delta: b - opt,
+			})
 		}
 	}
 
-	// Crash-campaign safety gate on the edited tree, applicable designs
-	// only (the rewrite is never applied on the others).
-	var campDesigns []string
+	// Crash-campaign safety gate on the edited tree.
+	campDesigns := make([]string, 0, len(designs))
 	for _, d := range designs {
-		if applicable[d.String()] {
-			campDesigns = append(campDesigns, d.String())
-		}
+		campDesigns = append(campDesigns, d.String())
 	}
-	if len(campDesigns) > 0 {
-		camp, err := campaignSandbox(sandbox, cfg.Workloads, campDesigns, cfg.Params, cfg.Campaign.withDefaults())
-		if err != nil {
-			return nil, fmt.Errorf("opt: %s: crash campaign in sandbox: %w", name, err)
-		}
-		or.CampaignTrials = camp.Trials
-		or.CampaignViolations = camp.Violations
-		or.CampaignFailures = camp.Failures
+	camp, err := campaignSandbox(sandbox, cfg.Workloads, campDesigns, cfg.Params, cfg.Campaign.withDefaults())
+	if err != nil {
+		return nil, fmt.Errorf("opt: %s: crash campaign in sandbox: %w", name, err)
 	}
+	or.CampaignTrials = camp.Trials
+	or.CampaignViolations = camp.Violations
+	or.CampaignFailures = camp.Failures
 	return or, nil
 }
 
@@ -576,12 +542,8 @@ func FormatTable(r *Report) string {
 			if i == 0 {
 				n = note
 			}
-			mark := ""
-			if !c.Applicable {
-				mark = "n/a (design out of scope)"
-			}
-			fmt.Fprintf(&b, "%-14s %-10s %-13s %12d %12d %12d  %s%s\n",
-				o.Name, c.Workload, c.Design, c.Baseline, c.Optimized, c.Delta, n, mark)
+			fmt.Fprintf(&b, "%-14s %-10s %-13s %12d %12d %12d  %s\n",
+				o.Name, c.Workload, c.Design, c.Baseline, c.Optimized, c.Delta, n)
 		}
 	}
 	return b.String()

@@ -41,22 +41,6 @@ func TestDesignByName(t *testing.T) {
 	}
 }
 
-// TestApplicabilityCoversAllOptimizations pins the applicability table
-// to the analyzer registry: a new optimization analyzer must declare
-// its design scope here.
-func TestApplicabilityCoversAllOptimizations(t *testing.T) {
-	for _, name := range []string{"flushcoalesce", "fencehoist", "epochmerge"} {
-		if len(Applicability[name]) == 0 {
-			t.Errorf("optimization %s has no applicable designs", name)
-		}
-	}
-	for _, d := range Applicability["epochmerge"] {
-		if d == machine.HOPS || d == machine.Strand {
-			t.Errorf("epochmerge must not claim buffered-epoch design %s", d)
-		}
-	}
-}
-
 // TestMeasureMatchesHarness covers the inner -measure mode against a
 // direct harness run: same cell, same kernel time.
 func TestMeasureMatchesHarness(t *testing.T) {

@@ -100,10 +100,11 @@ type job struct {
 // Server is the daemon: an http.Handler plus the worker pool, cache and
 // admission bookkeeping behind it.
 type Server struct {
-	cfg   Config
-	pool  *harness.Pool[CellResult]
-	cache *resultCache
-	mux   *http.ServeMux
+	cfg     Config
+	version string // code stamp every cell key and result carries
+	pool    *harness.Pool[CellResult]
+	cache   *resultCache
+	mux     *http.ServeMux
 
 	mu         sync.Mutex
 	jobs       map[string]*job
@@ -135,15 +136,20 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = 5 * time.Minute
 	}
+	version, err := codeVersion()
+	if err != nil {
+		return nil, err
+	}
 	cache, err := newResultCache(cfg.CacheBytes, cfg.CacheDir)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
-		cfg:   cfg,
-		pool:  harness.NewPool[CellResult](cfg.Workers),
-		cache: cache,
-		jobs:  make(map[string]*job),
+		cfg:     cfg,
+		version: version,
+		pool:    harness.NewPool[CellResult](cfg.Workers),
+		cache:   cache,
+		jobs:    make(map[string]*job),
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/jobs", s.handleJobs)
@@ -153,6 +159,9 @@ func NewServer(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/v1/version", s.handleVersion)
 	return s, nil
 }
+
+// Version returns the code stamp the daemon keys its cache on.
+func (s *Server) Version() string { return s.version }
 
 // Handler returns the daemon's HTTP surface.
 func (s *Server) Handler() http.Handler {
@@ -244,7 +253,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	j := &job{id: id, cells: cells, cancel: cancel, states: make([]cellStatus, len(cells))}
 	for i, c := range cells {
-		j.states[i] = cellStatus{Index: i, Key: c.Key(), Cell: c, State: cellQueued}
+		j.states[i] = cellStatus{Index: i, Key: c.Key(s.version), Cell: c, State: cellQueued}
 	}
 	s.jobs[id] = j
 	s.jobOrder = append(s.jobOrder, id)
@@ -291,7 +300,7 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		s.pool.Submit(harness.Job[CellResult]{
 			Label: fmt.Sprintf("%s[%d] %s/%s", j.id, idx, cell.Design, cell.Workload),
 			Run: func() (CellResult, error) {
-				return runCell(cell, func() bool { return ctx.Err() != nil })
+				return runCell(cell, s.version, func() bool { return ctx.Err() != nil })
 			},
 		}, func(r harness.JobResult[CellResult]) {
 			defer wg.Done()
@@ -522,7 +531,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]string{"version": CodeVersion()})
+	json.NewEncoder(w).Encode(map[string]string{"version": s.version})
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {

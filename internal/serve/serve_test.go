@@ -4,11 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -420,19 +423,37 @@ func TestServeMetricsEndpoint(t *testing.T) {
 func TestCellKeyVersioned(t *testing.T) {
 	c := Cell{Design: "IntelX86", Workload: "queue", Seed: 1,
 		Config: CellConfig{Threads: 2, Ops: 20, DataSize: 64}}
-	k1 := c.Key()
-	old := codeVersion
-	codeVersion = old + ",test-bump"
-	k2 := c.Key()
-	codeVersion = old
-	if k1 == k2 {
+	k1 := c.Key("v1")
+	if k1 == c.Key("v2") {
 		t.Fatal("cell key ignores the code version")
 	}
-	if k1 != c.Key() {
+	if k1 != c.Key("v1") {
 		t.Fatal("cell key unstable for identical inputs")
 	}
 	if len(k1) != 64 {
 		t.Fatalf("key %q is not hex sha256", k1)
+	}
+}
+
+// TestCodeVersionIsExecutableDigest: the stamp is the SHA-256 of the
+// running executable, so any code change, committed or not, changes
+// every cell key.
+func TestCodeVersionIsExecutableDigest(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(exe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	got, err := codeVersion()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("code stamp %q, want the executable digest %q", got, want)
 	}
 }
 

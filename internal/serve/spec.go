@@ -12,7 +12,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"runtime/debug"
+	"io"
+	"os"
+	"sync"
 
 	"pmemspec/internal/harness"
 	"pmemspec/internal/machine"
@@ -147,38 +149,36 @@ func (s GridSpec) Cells() ([]Cell, error) {
 }
 
 // codeVersion is the stamp that makes the result cache sound across
-// rebuilds: the execution-core stamp bench-cmp already refuses stale
-// baselines on, plus the VCS revision when the binary carries one. Two
-// binaries with different stamps never share cache entries.
-var codeVersion = func() string {
-	v := "exec_core=" + sim.DefaultExecCore.String()
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			switch s.Key {
-			case "vcs.revision":
-				v += ",rev=" + s.Value
-			case "vcs.modified":
-				if s.Value == "true" {
-					v += "+dirty"
-				}
-			}
-		}
+// rebuilds: the hex SHA-256 of the running executable, computed on
+// first use. Two binaries built from different code never share cache
+// entries, including under `go run` and across edits to a dirty tree,
+// which a VCS revision stamp cannot tell apart.
+var codeVersion = sync.OnceValues(func() (string, error) {
+	exe, err := os.Executable()
+	if err != nil {
+		return "", fmt.Errorf("serve: code stamp: %w", err)
 	}
-	return v
-}()
-
-// CodeVersion returns the running binary's cache-key stamp.
-func CodeVersion() string { return codeVersion }
+	f, err := os.Open(exe)
+	if err != nil {
+		return "", fmt.Errorf("serve: code stamp: %w", err)
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "", fmt.Errorf("serve: code stamp: %w", err)
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
+})
 
 // Key returns the cell's content address: the hex SHA-256 of its
 // canonical JSON plus the code-version stamp. The cell must already be
 // normalized (Cells does this), so specs with elided defaults and specs
 // with explicit defaults address the same entry.
-func (c Cell) Key() string {
+func (c Cell) Key(version string) string {
 	payload, err := json.Marshal(struct {
 		Cell
 		Version string `json:"version"`
-	}{c, codeVersion})
+	}{c, version})
 	if err != nil {
 		panic(fmt.Sprintf("serve: cell key marshal: %v", err)) // struct of scalars: cannot fail
 	}
@@ -203,9 +203,10 @@ type CellResult struct {
 	Trace json.RawMessage `json:"trace,omitempty"`
 }
 
-// runCell simulates one cell on the calling goroutine. cancel, when
-// non-nil, is polled by the kernel's cancellation watcher.
-func runCell(c Cell, cancel func() bool) (CellResult, error) {
+// runCell simulates one cell on the calling goroutine and stamps the
+// result with version. cancel, when non-nil, is polled by the kernel's
+// cancellation watcher.
+func runCell(c Cell, version string, cancel func() bool) (CellResult, error) {
 	d, err := designByName(c.Design)
 	if err != nil {
 		return CellResult{}, err
@@ -239,8 +240,8 @@ func runCell(c Cell, cancel func() bool) (CellResult, error) {
 		return CellResult{}, err
 	}
 	out := CellResult{
-		Key:        c.Key(),
-		Version:    codeVersion,
+		Key:        c.Key(version),
+		Version:    version,
 		Cell:       c,
 		Committed:  res.Committed,
 		KernelTime: res.KernelTime,

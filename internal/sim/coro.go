@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"iter"
-	"os"
 )
 
 // EffectKind classifies what a coroutine step did — the yield-effect
@@ -40,12 +39,11 @@ type Effect struct {
 // yield point and returns the effect; after EffectDone (or Abort) the
 // coroutine must not be stepped again.
 //
-// Two implementations exist: goCoro (the default) wraps an ordinary
-// blocking-style body in a runtime pull-coroutine, giving it a real
-// resumable frame without a scheduler handshake; handshakeCoro is the
-// legacy two-channel goroutine kept behind a flag for A/B comparison.
-// Explicit state machines (frame and program counter spelled out as
-// struct fields) can be stepped first-class via Kernel.SpawnCoro.
+// Kernel.Spawn wraps an ordinary blocking-style body in a goCoro, a
+// runtime pull-coroutine that gives it a real resumable frame without a
+// scheduler handshake. Explicit state machines (frame and program
+// counter spelled out as struct fields) can be stepped first-class via
+// Kernel.SpawnCoro.
 //
 // Contract for explicit Coro implementations:
 //   - Step performs bounded work, applies its own thread bookkeeping
@@ -63,75 +61,16 @@ type Coro interface {
 	Abort(t *Thread)
 }
 
-// ExecCore selects the mechanism that runs thread bodies.
-type ExecCore uint8
-
-const (
-	// CoreStep (default): bodies run as pull-coroutines the kernel
-	// steps inline — a direct coroutine switch per dispatch, no
-	// goroutine park/unpark through the scheduler.
-	CoreStep ExecCore = iota
-	// CoreHandshake: the legacy two-channel goroutine handshake.
-	// Retained for A/B benchmarks and as a semantic cross-check; both
-	// cores produce byte-identical schedules.
-	CoreHandshake
-)
-
-// DefaultExecCore is the core new kernels start with. It is CoreStep
-// unless the process environment sets PMEMSPEC_EXEC_CORE=handshake
-// (read once at startup, so it cannot vary within a run).
-var DefaultExecCore = execCoreFromEnv(os.Getenv("PMEMSPEC_EXEC_CORE"))
-
-func execCoreFromEnv(v string) ExecCore {
-	if v == "handshake" {
-		return CoreHandshake
-	}
-	return CoreStep
-}
-
-// SetExecCore selects the execution core for threads spawned later.
-// It must be called before the first Spawn.
-func (k *Kernel) SetExecCore(c ExecCore) {
-	if len(k.threads) > 0 {
-		panic("sim: SetExecCore after Spawn")
-	}
-	k.core = c
-}
-
-// String reports the core as its short identifier ("step" or
-// "handshake"), the spelling used by PMEMSPEC_EXEC_CORE and recorded in
-// bench/CI records.
-func (c ExecCore) String() string {
-	if c == CoreHandshake {
-		return "handshake"
-	}
-	return "step"
-}
-
-// ExecCoreName reports the kernel's core as a short identifier
-// ("step" or "handshake") for bench/CI records.
-func (k *Kernel) ExecCoreName() string { return k.core.String() }
-
-// bodyYielder is implemented by the vehicles that run blocking-style
-// bodies (goCoro, handshakeCoro): the body side of the coroutine calls
-// yieldToKernel at every checkpoint. A false return means the kernel
-// abandoned the thread and the body must unwind.
-type bodyYielder interface {
-	yieldToKernel(eff Effect) bool
-}
-
 // goCoro runs a blocking-style body inside a runtime pull-coroutine
 // (iter.Pull). Resuming it is a direct coroutine switch on the kernel's
 // goroutine — no channel operations, no scheduler round trip — which is
-// what makes step-core dispatch cheap. The body keeps its natural
-// stack, so every existing yield point (deep inside machine operations
-// included) is preserved exactly and the schedule is byte-identical to
-// the legacy core by construction.
+// what makes dispatch cheap. The body keeps its natural stack, so every
+// yield point (deep inside machine operations included) is preserved
+// exactly.
 type goCoro struct {
 	next  func() (Effect, bool)
 	stop  func()
 	yield func(Effect) bool
-	done  bool
 }
 
 func newGoCoro(t *Thread, body func(*Thread)) *goCoro {
@@ -144,10 +83,10 @@ func newGoCoro(t *Thread, body func(*Thread)) *goCoro {
 	return c
 }
 
-// threadExit is the shared body epilogue of both vehicles: it swallows
-// the abandonment sentinel and converts any real panic in simulated
-// code into the run's stop reason (first reason wins), instead of
-// letting it tear through the kernel dispatch loop.
+// threadExit is the body epilogue: it swallows the abandonment sentinel
+// and converts any real panic in simulated code into the run's stop
+// reason (first reason wins), instead of letting it tear through the
+// kernel dispatch loop.
 func threadExit(t *Thread) {
 	if r := recover(); r != nil {
 		if _, ok := r.(errKernelStopped); !ok {
@@ -164,7 +103,6 @@ func threadExit(t *Thread) {
 func (c *goCoro) Step(t *Thread) Effect {
 	eff, ok := c.next()
 	if !ok {
-		c.done = true
 		return Effect{Kind: EffectDone}
 	}
 	return eff
@@ -176,75 +114,4 @@ func (c *goCoro) Abort(t *Thread) {
 	// finishes before stop returns. Never-started and already-finished
 	// coroutines are no-ops.
 	c.stop()
-}
-
-func (c *goCoro) yieldToKernel(eff Effect) bool {
-	return c.yield(eff)
-}
-
-// handshakeCoro is the legacy execution vehicle: the body runs on its
-// own goroutine and each dispatch is a two-channel ping-pong through
-// the Go scheduler. It is kept only behind CoreHandshake so the step
-// core's speedup stays measurable and its schedule cross-checkable.
-type handshakeCoro struct {
-	t         *Thread
-	resume    chan struct{}
-	yield     chan struct{}
-	eff       Effect // effect reported at the most recent yield
-	abandoned bool
-	done      bool
-}
-
-//lint:allow simdeterminism legacy handshake vehicle: the goroutine+channel round trip is the thing being A/B-measured
-func newHandshakeCoro(t *Thread, body func(*Thread)) *handshakeCoro {
-	c := &handshakeCoro{
-		t:      t,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
-	go func() {
-		// LIFO: threadExit recovers first (it must be deferred
-		// directly for recover to see the panic), then the final
-		// handshake reports completion to the kernel.
-		defer func() {
-			c.eff = Effect{Kind: EffectDone}
-			c.yield <- struct{}{}
-		}()
-		defer threadExit(t)
-		<-c.resume
-		if c.abandoned {
-			panic(errKernelStopped{})
-		}
-		body(t)
-	}()
-	return c
-}
-
-//lint:allow simdeterminism legacy handshake vehicle
-func (c *handshakeCoro) Step(t *Thread) Effect {
-	c.resume <- struct{}{}
-	<-c.yield
-	if c.eff.Kind == EffectDone {
-		c.done = true
-	}
-	return c.eff
-}
-
-//lint:allow simdeterminism legacy handshake vehicle
-func (c *handshakeCoro) Abort(t *Thread) {
-	if c.done {
-		return
-	}
-	c.abandoned = true
-	c.resume <- struct{}{}
-	<-c.yield
-	c.done = true
-}
-
-//lint:allow simdeterminism legacy handshake vehicle
-func (c *handshakeCoro) yieldToKernel(eff Effect) bool {
-	c.eff = eff
-	c.yield <- struct{}{}
-	<-c.resume
-	return !c.abandoned
 }

@@ -22,7 +22,6 @@ type Kernel struct {
 	threads   []*Thread
 	ready     readyQueue // min-heap of runnable threads by (clock, id)
 	now       Time       // timestamp of the most recently dispatched entity
-	core      ExecCore
 	running   bool
 	stopped   bool // a stop reason has been recorded; later ones are ignored
 	stopErr   error
@@ -31,9 +30,9 @@ type Kernel struct {
 	readyScratch []*Thread     // reused view passed to sched
 }
 
-// NewKernel returns an empty kernel at time zero using DefaultExecCore.
+// NewKernel returns an empty kernel at time zero.
 func NewKernel() *Kernel {
-	return &Kernel{core: DefaultExecCore}
+	return &Kernel{}
 }
 
 // Now returns the timestamp of the most recently dispatched thread step or
@@ -103,17 +102,11 @@ func (k *Kernel) compactEvents() {
 // Spawn creates a simulated thread that will execute body when Run is
 // called. Threads are dispatched lowest-clock first (ties broken by
 // creation order). startAt sets the thread's initial clock. The body runs
-// on the kernel's execution core: as an inline-stepped pull-coroutine by
-// default, or on the legacy goroutine handshake under CoreHandshake.
+// as a pull-coroutine the kernel steps inline.
 func (k *Kernel) Spawn(name string, startAt Time, body func(t *Thread)) *Thread {
 	t := k.newThread(name, startAt)
-	if k.core == CoreHandshake {
-		c := newHandshakeCoro(t, body)
-		t.coro, t.yielder = c, c
-	} else {
-		c := newGoCoro(t, body)
-		t.coro, t.yielder = c, c
-	}
+	t.body = newGoCoro(t, body)
+	t.coro = t.body
 	return t
 }
 

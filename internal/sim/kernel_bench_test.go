@@ -8,15 +8,11 @@ import (
 // benchmarkDispatch measures the kernel's dispatch loop: every thread
 // advances its clock by one cycle per step, so each Advance crosses
 // another thread's clock and forces a full yield/resume round trip plus
-// a scheduler decision — the Fig 10 many-core hot path. The core
-// parameter selects the execution vehicle, so the step core's gain over
-// the legacy goroutine handshake stays measurable (`go test -bench
-// 'Dispatch(8|64)' ./internal/sim`).
-func benchmarkDispatch(b *testing.B, threads, steps int, core ExecCore) {
+// a scheduler decision — the Fig 10 many-core hot path.
+func benchmarkDispatch(b *testing.B, threads, steps int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		k := NewKernel()
-		k.SetExecCore(core)
 		for n := 0; n < threads; n++ {
 			k.Spawn(fmt.Sprintf("w%d", n), 0, func(t *Thread) {
 				for s := 0; s < steps; s++ {
@@ -31,10 +27,8 @@ func benchmarkDispatch(b *testing.B, threads, steps int, core ExecCore) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*threads*steps), "ns/dispatch")
 }
 
-func BenchmarkDispatch8(b *testing.B)           { benchmarkDispatch(b, 8, 500, CoreStep) }
-func BenchmarkDispatch8Handshake(b *testing.B)  { benchmarkDispatch(b, 8, 500, CoreHandshake) }
-func BenchmarkDispatch64(b *testing.B)          { benchmarkDispatch(b, 64, 500, CoreStep) }
-func BenchmarkDispatch64Handshake(b *testing.B) { benchmarkDispatch(b, 64, 500, CoreHandshake) }
+func BenchmarkDispatch8(b *testing.B)  { benchmarkDispatch(b, 8, 500) }
+func BenchmarkDispatch64(b *testing.B) { benchmarkDispatch(b, 64, 500) }
 
 // loopCoro is the explicit state-machine equivalent of the dispatch
 // benchmark's body: the frame is one counter, the program counter is

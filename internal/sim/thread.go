@@ -22,7 +22,7 @@ type Thread struct {
 	blockReason string
 	kernel      *Kernel
 	coro        Coro
-	yielder     bodyYielder // non-nil iff coro runs a blocking-style body
+	body        *goCoro // non-nil iff coro runs a blocking-style body
 }
 
 // ID returns the thread's index in kernel creation order.
@@ -158,12 +158,12 @@ func (t *Thread) Wake(at Time) {
 
 // checkpoint suspends the body until the kernel resumes it. If the
 // kernel abandoned the thread (Stop/deadlock), the body unwinds via the
-// errKernelStopped sentinel, which the vehicle's epilogue recovers.
+// errKernelStopped sentinel, which threadExit recovers.
 func (t *Thread) checkpoint(eff Effect) {
-	if t.yielder == nil {
+	if t.body == nil {
 		panic(fmt.Sprintf("sim: thread %q: blocking primitive called from an explicit Coro.Step; use StepAdvance/StepBlock and return the effect", t.name))
 	}
-	if !t.yielder.yieldToKernel(eff) {
+	if !t.body.yield(eff) {
 		panic(errKernelStopped{})
 	}
 }

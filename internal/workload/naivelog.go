@@ -18,14 +18,14 @@ import (
 // flush run overlaps the writeback with compute, so the closing
 // barrier itself is free and the per-flush issue slots are what the
 // record costs — the coalesce removes seven of the eight.
-// The record epoch's closing
-// barrier, by contrast, is load-bearing: the header flush between it
-// and the durability barrier is a conflicting persist (per-controller
-// write-pending queues can admit it before a delayed record
-// writeback), so epochmerge must refuse here — the workload doubles as
-// its negative test. The crash invariant (header count n implies
-// records 0..n-1 intact) survives the coalesce, which is what
-// pmemspec-opt's verify leg demonstrates.
+// The record epoch's closing barrier, by contrast, is load-bearing:
+// the header flush between it and the durability barrier is a
+// conflicting persist (per-controller write-pending queues can admit
+// it before a delayed record writeback), so no rewrite may merge the
+// two epochs into one.
+// The crash invariant (header count n implies records 0..n-1 intact)
+// survives the coalesce, which is what pmemspec-opt's verify leg
+// demonstrates.
 type NaiveLog struct {
 	perThread int
 	threads   int
