@@ -195,46 +195,18 @@ if [ "${QUICK:-0}" != "1" ]; then
 	go run ./cmd/pmemspec-ci opt-check -report /tmp/pmemspec-opt-report.json
 fi
 
-stage litmus "litmus campaign (persist-order lattice vs simulator, budgeted)"
-# Differential validation of the static persist-order lattice: every
-# corpus pattern is folded to a per-design ORDERED/UNORDERED verdict and
-# executed under boundary-aligned crash points; a recovered image that
-# contradicts an ORDERED claim fails the stage. QUICK runs a
-# deterministic corpus subsample with capped crash points per cell; the
-# full (nightly) pass sweeps all patterns and gates on the full corpus
-# floor.
-go build -o /tmp/pmemspec-litmus ./cmd/pmemspec-litmus
-if [ "${QUICK:-0}" = "1" ]; then
-	run_budgeted pmemspec-litmus "${LITMUS_BUDGET_S:-900}" \
-		"/tmp/pmemspec-litmus -quick -report /tmp/pmemspec-litmus.json"
-	litmus_min_patterns=8
-else
-	run_budgeted pmemspec-litmus "${LITMUS_BUDGET_S:-900}" \
-		"/tmp/pmemspec-litmus -points 12 -report /tmp/pmemspec-litmus.json"
-	litmus_min_patterns=40
-fi
-go run ./cmd/pmemspec-ci litmus-check -report /tmp/pmemspec-litmus.json \
-	-min-patterns "$litmus_min_patterns"
-
-stage mc "model checker (exhaustive MT litmus schedules, DPOR, budgeted)"
-# The exhaustive small-scope model checker: every multi-threaded litmus
-# pattern × design, every non-equivalent thread interleaving (sleep-set
-# partial-order reduction), every reachable crash image per schedule.
-# QUICK runs a deterministic corpus subsample with capped schedules per
-# cell; the full (nightly) pass enumerates exhaustively and refuses
-# capped cells. Either way the gate demands zero refutations and a
+stage mc "model checker (litmus corpus, DPOR schedules x crash images, budgeted)"
+# The one persist-order checker: every single- and multi-threaded
+# litmus pattern × design, every non-equivalent thread interleaving
+# (sleep-set partial-order reduction; one schedule for a single-threaded
+# pattern), every reachable crash image per schedule. The sweep is
+# exhaustive on push and nightly alike; the gate demands zero
+# refutations, no capped cells, the 52-pattern corpus floor and a
 # schedule count strictly below the unreduced interleaving bound.
 go build -o /tmp/pmemspec-mc ./cmd/pmemspec-mc
-if [ "${QUICK:-0}" = "1" ]; then
-	run_budgeted pmemspec-mc "${MC_BUDGET_S:-600}" \
-		"/tmp/pmemspec-mc -quick -report /tmp/pmemspec-mc.json"
-	go run ./cmd/pmemspec-ci mc-check -report /tmp/pmemspec-mc.json \
-		-min-patterns 8 -allow-capped
-else
-	run_budgeted pmemspec-mc "${MC_BUDGET_S:-600}" \
-		"/tmp/pmemspec-mc -report /tmp/pmemspec-mc.json"
-	go run ./cmd/pmemspec-ci mc-check -report /tmp/pmemspec-mc.json
-fi
+run_budgeted pmemspec-mc "${MC_BUDGET_S:-600}" \
+	"/tmp/pmemspec-mc -report /tmp/pmemspec-mc.json"
+go run ./cmd/pmemspec-ci mc-check -report /tmp/pmemspec-mc.json
 
 stage serve-smoke "serve smoke (daemon over HTTP vs direct harness)"
 # End-to-end exercise of the service layer: boot pmemspec-serve on an

@@ -172,7 +172,7 @@ func benchCmp(args []string) int {
 
 func main() {
 	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: pmemspec-ci bench-cmp|serve-smoke|opt-check|litmus-check|mc-check [flags]")
+		fmt.Fprintln(os.Stderr, "usage: pmemspec-ci bench-cmp|serve-smoke|opt-check|mc-check [flags]")
 		os.Exit(2)
 	}
 	switch os.Args[1] {
@@ -182,12 +182,10 @@ func main() {
 		os.Exit(serveSmoke(os.Args[2:]))
 	case "opt-check":
 		os.Exit(optCheck(os.Args[2:]))
-	case "litmus-check":
-		os.Exit(litmusCheck(os.Args[2:]))
 	case "mc-check":
 		os.Exit(mcCheck(os.Args[2:]))
 	default:
-		fmt.Fprintf(os.Stderr, "pmemspec-ci: unknown subcommand %q (want bench-cmp, serve-smoke, opt-check, litmus-check or mc-check)\n", os.Args[1])
+		fmt.Fprintf(os.Stderr, "pmemspec-ci: unknown subcommand %q (want bench-cmp, serve-smoke, opt-check or mc-check)\n", os.Args[1])
 		os.Exit(2)
 	}
 }

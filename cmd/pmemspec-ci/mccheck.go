@@ -2,13 +2,14 @@
 // ci.sh runs the model-checking campaign, captures the report, and this
 // subcommand decides whether it constitutes a passing stage: the report
 // must parse into the full schema, cover the required corpus and design
-// breadth, and uphold the exhaustive contract — zero ORDERED claims
-// refuted on any schedule × crash point, zero disagreements between the
-// interleaving-quantified fold and the corpus truth tables, zero cell
-// failures. The explored schedule total must also stay strictly below
-// the unreduced interleaving bound: a reduction layer that stops
-// pruning has silently degenerated into brute force (or, worse, into
-// exploring nothing).
+// breadth (the default floor is the 40-pattern single-threaded corpus
+// floor plus the 12-pattern multi-threaded one), and uphold the
+// exhaustive contract — zero ORDERED claims refuted on any schedule ×
+// crash point, zero disagreements between the order-lattice fold and
+// the corpus truth tables, zero cell failures, zero capped cells. The
+// explored schedule total must also stay strictly below the unreduced
+// interleaving bound: a reduction layer that stops pruning has silently
+// degenerated into brute force (or, worse, into exploring nothing).
 package main
 
 import (
@@ -23,9 +24,8 @@ func mcCheck(args []string) int {
 	fs := flag.NewFlagSet("mc-check", flag.ExitOnError)
 	var (
 		reportPath  = fs.String("report", "", "pmemspec-mc -json report to validate")
-		minPatterns = fs.Int("min-patterns", 12, "minimum corpus patterns the campaign must cover")
+		minPatterns = fs.Int("min-patterns", 52, "minimum corpus patterns the campaign must cover")
 		minDesigns  = fs.Int("min-designs", 5, "minimum designs the campaign must cover")
-		allowCapped = fs.Bool("allow-capped", false, "accept cells whose schedule enumeration was capped (quick mode)")
 	)
 	fs.Parse(args)
 	if *reportPath == "" {
@@ -93,7 +93,7 @@ func mcCheck(args []string) int {
 		}
 		fail++
 	}
-	if rep.CappedCells > 0 && !*allowCapped {
+	if rep.CappedCells > 0 {
 		fmt.Fprintf(os.Stderr, "mc-check: %d cell(s) hit the schedule cap in a sweep that should be exhaustive\n", rep.CappedCells)
 		fail++
 	}

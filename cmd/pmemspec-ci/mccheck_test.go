@@ -14,18 +14,18 @@ import (
 func mcReport(t *testing.T, mutate func(*mc.Report)) string {
 	t.Helper()
 	rep := mc.Report{
-		Patterns:       12,
+		Patterns:       52,
 		Designs:        5,
-		OrderedCells:   25,
-		UnorderedCells: 35,
-		Witnessed:      20,
-		Schedules:      300,
-		Bound:          5000,
-		Images:         1200,
-		UniqueImages:   300,
+		OrderedCells:   125,
+		UnorderedCells: 135,
+		Witnessed:      40,
+		Schedules:      600,
+		Bound:          9000,
+		Images:         2400,
+		UniqueImages:   1000,
 	}
-	for i := 0; i < 60; i++ {
-		ordered := i < 25
+	for i := 0; i < 260; i++ {
+		ordered := i < 125
 		rep.Cells = append(rep.Cells, mc.CellResult{
 			Pattern:      "p",
 			Design:       "d",
@@ -35,7 +35,7 @@ func mcReport(t *testing.T, mutate func(*mc.Report)) string {
 			Bound:        80,
 			Images:       20,
 			UniqueImages: 8,
-			Witnessed:    !ordered && i < 45,
+			Witnessed:    !ordered && i < 165,
 		})
 	}
 	if mutate != nil {
@@ -56,6 +56,22 @@ func TestMCCheckPasses(t *testing.T) {
 	path := mcReport(t, nil)
 	if rc := mcCheck([]string{"-report", path}); rc != 0 {
 		t.Fatalf("mc-check on a clean report = %d, want 0", rc)
+	}
+}
+
+// TestMCCheckFailsUnderMinimums pins the default floors: 52 patterns
+// (the 40-pattern single-threaded corpus floor plus the 12-pattern
+// multi-threaded one) and all five designs.
+func TestMCCheckFailsUnderMinimums(t *testing.T) {
+	path := mcReport(t, func(r *mc.Report) {
+		r.Patterns = 51
+		r.Cells = r.Cells[:51*5]
+	})
+	if rc := mcCheck([]string{"-report", path}); rc != 1 {
+		t.Fatal("mc-check must fail a report under the default 52-pattern floor")
+	}
+	if rc := mcCheck([]string{"-report", mcReport(t, nil), "-min-designs", "6"}); rc != 1 {
+		t.Fatal("mc-check must fail a report under -min-designs")
 	}
 }
 
@@ -91,9 +107,6 @@ func TestMCCheckCappedPolicy(t *testing.T) {
 	})
 	if rc := mcCheck([]string{"-report", path}); rc != 1 {
 		t.Fatal("mc-check must fail capped cells in an exhaustive sweep")
-	}
-	if rc := mcCheck([]string{"-report", path, "-allow-capped"}); rc != 0 {
-		t.Fatal("mc-check -allow-capped must accept capped cells (quick mode)")
 	}
 }
 

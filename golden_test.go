@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"pmemspec/internal/harness"
-	"pmemspec/internal/litmus"
 	"pmemspec/internal/machine"
 	"pmemspec/internal/mc"
 	"pmemspec/internal/metrics"
@@ -96,18 +95,18 @@ func TestGoldenDigests(t *testing.T) {
 		},
 		{
 			name:   "litmus",
-			cmd:    "pmemspec-litmus -max-patterns 4 -points 2 -report FILE",
-			sha256: "914a7b1075b5611a473ee20b40ce283083bc24b3ebe7a51ef9884c1ea0112296",
+			cmd:    "pmemspec-mc -max-patterns 8 -max-schedules 24 -report FILE",
+			sha256: "3adcdc883a17171f1971ac187a3d0b22a2bba4d6811e3bb6043f4125e85f5e97",
 			output: func() ([]byte, error) {
-				return indentJSON(litmus.Run(litmus.Options{MaxPatterns: 4, PointBudget: 2}))
+				return indentJSON(mc.Run(mc.Options{MaxPatterns: 8, MaxSchedules: 24}))
 			},
 		},
 		{
 			name:   "mc",
-			cmd:    "pmemspec-mc -quick -report FILE",
+			cmd:    "pmemspec-mc -pattern mt- -max-patterns 8 -max-schedules 24 -report FILE",
 			sha256: "7c514879cebc0581f8d907b78736ce4d54c4262318d61161fffb3eb229f799f9",
 			output: func() ([]byte, error) {
-				return indentJSON(mc.Run(mc.Options{MaxPatterns: 8, MaxSchedules: 24}))
+				return indentJSON(mc.Run(mc.Options{Pattern: "mt-", MaxPatterns: 8, MaxSchedules: 24}))
 			},
 		},
 	}

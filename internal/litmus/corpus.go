@@ -1,5 +1,14 @@
 package litmus
 
+import (
+	"slices"
+	"strings"
+
+	"pmemspec/internal/analysis/dataflow"
+	"pmemspec/internal/harness"
+	"pmemspec/internal/machine"
+)
+
 // Corpus returns the generated litmus patterns. Each entry asserts
 // "Data (var 0) persists before Commit (var 1)" and carries the
 // hand-derived per-design truth table in canonical order
@@ -152,4 +161,40 @@ func PatternByName(name string) (Pattern, bool) {
 		}
 	}
 	return Pattern{}, false
+}
+
+// DesignPair is one design under both of its names: the order design
+// the static fold judges and the machine design the simulator runs.
+type DesignPair struct {
+	Order   dataflow.OrderDesign
+	Machine machine.Design
+}
+
+// Select picks a model-checking campaign's cells: the corpus patterns
+// whose name contains pattern, stride-subsampled to at most
+// maxPatterns (0: all), crossed with the designs named in designs
+// (case-insensitive; empty: all five). Both come back in canonical
+// report order, so a fixed selection always sweeps the same cells.
+func Select(corpus []Pattern, pattern string, maxPatterns int, designs []string) ([]Pattern, []DesignPair) {
+	var patterns []Pattern
+	for _, p := range corpus {
+		if strings.Contains(p.Name, pattern) {
+			patterns = append(patterns, p)
+		}
+	}
+	if maxPatterns > 0 {
+		patterns = harness.Stride(patterns, maxPatterns)
+	}
+	wanted := func(name string) bool {
+		return len(designs) == 0 || slices.ContainsFunc(designs, func(d string) bool { return strings.EqualFold(d, name) })
+	}
+	var pairs []DesignPair
+	for _, od := range dataflow.OrderDesigns() {
+		for _, md := range machine.AllDesigns {
+			if md.String() == od.String() && wanted(od.String()) {
+				pairs = append(pairs, DesignPair{od, md})
+			}
+		}
+	}
+	return patterns, pairs
 }

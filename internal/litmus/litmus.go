@@ -1,21 +1,21 @@
-// Package litmus differentially validates the static persist-order
-// verdicts (internal/analysis/dataflow's order lattice, surfaced by the
-// persistorder analyzer) against the simulator: a generated corpus of
-// small store/flush/fence/lock/strand/speculation patterns is folded
-// through the order lattice to a per-design ORDERED/UNORDERED verdict,
-// then executed as real programs under the crash-campaign harness with
-// crash points aligned to every persist boundary the run crosses.
+// Package litmus is the persist-order litmus vocabulary: a corpus of
+// small store/flush/fence/lock/strand/speculation patterns, each with a
+// hand-derived per-design ORDERED/UNORDERED truth table for the claim
+// "Data's final value persists before Commit's final value"; the fold
+// of a pattern through internal/analysis/dataflow's order lattice (the
+// rule the persistorder analyzer applies); and Program, which runs a
+// pattern as a real workload on the simulator.
 //
-// The contract the campaign adjudicates:
+// The model checker (internal/mc) adjudicates the static verdicts
+// against the simulator's crash images with Pattern.Classify:
 //
-//   - Every statically ORDERED claim must survive every crash point: no
-//     recovered image may hold the commit store's final value while the
-//     data store's final value is missing. One counterexample refutes
-//     the lattice (or finds a simulator bug) — CI fails.
-//   - Every statically UNORDERED claim is falsifiable: a crash point
+//   - Every statically ORDERED claim must survive every crash image: no
+//     image may hold the commit store's final value while the data
+//     store's final value is missing. One counterexample refutes the
+//     lattice (or finds a simulator bug) — CI fails.
+//   - Every statically UNORDERED claim is falsifiable: some crash image
 //     may witness commit-without-data. Witnesses validate the lattice's
-//     refusal; their absence within the point budget is recorded, not
-//     failed.
+//     refusal; their absence is recorded, not failed.
 //
 // The same lowering tables drive both sides (dataflow.LowerModelOp/
 // LowerISAOp), so a divergence is always a real disagreement between
@@ -97,10 +97,10 @@ type Pattern struct {
 	// Threads, when non-nil, makes the pattern multi-threaded: thread i
 	// interprets Threads[i] and Ops must be nil. The claim is unchanged
 	// ("Data's final value persists before Commit's final value"), but
-	// its verdict now quantifies over every feasible interleaving — the
-	// model checker (internal/mc) enumerates them, the single-schedule
-	// harness samples one. Each variable must be stored by at most one
-	// thread so the final value is schedule-independent.
+	// its verdict now quantifies over every feasible interleaving, which
+	// the model checker (internal/mc) enumerates. Each variable must be
+	// stored by at most one thread so the final value is
+	// schedule-independent.
 	Threads [][]Op
 	// SameLine lays Data and Commit in one 64-byte block (offsets 0 and
 	// 8) instead of separate blocks: the IntelX86 line-coalescing rule.
@@ -189,13 +189,6 @@ func (p Pattern) storeOwner(v int) int {
 // writes: distinct, nonzero, deterministic.
 func storeValue(v, k int) uint64 { return uint64(v*8+k) + 1 }
 
-// StoreValue exposes storeValue so the model checker can recognize
-// every legitimately written value when classifying crash images.
-func StoreValue(v, k int) uint64 { return storeValue(v, k) }
-
-// StoreCounts returns, per variable, how many stores target it.
-func (p Pattern) StoreCounts() []int { return p.storeCounts() }
-
 // FinalValue is the value variable v holds after a complete run.
 func (p Pattern) FinalValue(v int) uint64 {
 	counts := p.storeCounts()
@@ -205,10 +198,31 @@ func (p Pattern) FinalValue(v int) uint64 {
 	return storeValue(v, counts[v]-1)
 }
 
-// lowerOp maps one litmus op to its order-lattice event on a design.
-// OpStore/OpFlush/OpCLWB are handled by the callers (they need the
-// variable); everything else goes through the shared tables.
-func lowerOp(k OpKind, d dataflow.OrderDesign) dataflow.OrderEvent {
+// Classify judges one image of the pattern's variables (vec[v] is
+// variable v's value, as Program.Vars reads it). Every variable must
+// hold zero or one of its written values; anything else is a torn
+// write, returned as an error. commitWithoutData reports an image that
+// holds Commit's final value without Data's final value: it refutes an
+// ORDERED verdict and witnesses an UNORDERED one.
+func (p Pattern) Classify(vec []uint64) (commitWithoutData bool, err error) {
+	counts := p.storeCounts()
+	for v, got := range vec {
+		legal := got == 0
+		for k := 0; k < counts[v] && !legal; k++ {
+			legal = got == storeValue(v, k)
+		}
+		if !legal {
+			return false, fmt.Errorf("var %d holds %d, never written", v, got)
+		}
+	}
+	commitFinal := p.FinalValue(Commit)
+	return commitFinal != 0 && vec[Commit] == commitFinal && vec[Data] != p.FinalValue(Data), nil
+}
+
+// LowerKind maps one litmus op kind to its order-lattice event on a
+// design. OpStore/OpFlush/OpCLWB are handled by the callers (they need
+// the variable); everything else goes through the shared tables.
+func LowerKind(k OpKind, d dataflow.OrderDesign) dataflow.OrderEvent {
 	switch k {
 	case OpOrderBarrier:
 		return dataflow.LowerModelOp(dataflow.MOrderBarrier, d)
@@ -241,16 +255,7 @@ func lowerOp(k OpKind, d dataflow.OrderDesign) dataflow.OrderEvent {
 // SameBlock reports whether two variables share a cache block under
 // the pattern's layout; the model checker's independence relation uses
 // it (two ops on the same block never commute).
-func (p Pattern) SameBlock(a, b int) bool { return p.sameBlock(a, b) }
-
-// LowerKind exposes the shared barrier-lowering table for one op kind
-// on one design. OpStore/OpFlush/OpCLWB are lowered by their callers
-// (they need the variable); everything else goes through here.
-func LowerKind(k OpKind, d dataflow.OrderDesign) dataflow.OrderEvent { return lowerOp(k, d) }
-
-// sameBlock reports whether two variables share a cache block under
-// the pattern's layout.
-func (p Pattern) sameBlock(a, b int) bool {
+func (p Pattern) SameBlock(a, b int) bool {
 	if a == b {
 		return true
 	}
@@ -286,7 +291,7 @@ func StaticOrdered(p Pattern, d dataflow.OrderDesign) bool {
 				return true // vacuous: the data store never issued
 			}
 			return n.S != dataflow.ONPoisoned &&
-				dataflow.LineCoalesce(d) && p.sameBlock(Data, Commit)
+				dataflow.LineCoalesce(d) && p.SameBlock(Data, Commit)
 		}
 		switch op.Kind {
 		case OpStore:
@@ -305,30 +310,26 @@ func StaticOrdered(p Pattern, d dataflow.OrderDesign) bool {
 			if dataflow.LowerISAOp(dataflow.ICLWB, d) == dataflow.OEFlush {
 				v := op.Var
 				s = s.WithFlushEvent(func(id int) dataflow.OrderCoverage {
-					if p.sameBlock(id, v) {
+					if p.SameBlock(id, v) {
 						return dataflow.OCoverExact
 					}
 					return dataflow.OCoverNone
 				})
 			}
 		default:
-			s = s.WithOrderEvent(lowerOp(op.Kind, d))
+			s = s.WithOrderEvent(LowerKind(op.Kind, d))
 		}
 	}
 	// No commit store: nothing to claim.
 	return true
 }
 
-// Program is one executable litmus trial: a pattern instantiated
-// against a design, implementing workload.Workload so the crash
-// harness can run, crash, recover and verify it. Each trial uses a
-// fresh instance (the harness may run many in parallel).
+// Program is one executable litmus run: a pattern implementing
+// workload.Workload so the crash harness can run, crash, recover and
+// verify it. Each run uses a fresh instance (the harness may run many
+// in parallel).
 type Program struct {
 	P Pattern
-	// StaticClaim is the lattice verdict the crash campaign defends:
-	// when true, a commit-without-data image is a refutation (Verify
-	// fails the trial); when false it is a recorded witness.
-	StaticClaim bool
 
 	// Hook, when non-nil, runs on the interpreting thread before each
 	// pattern op — opIdx counts through ThreadOps(tid), and one final
@@ -341,15 +342,10 @@ type Program struct {
 	base mem.Addr
 	lock sim.Mutex
 	join *sim.Barrier // multi-threaded rendezvous before the tail
-	// Witnessed is set by Verify when a recovered image held the
-	// commit final value without the data final value.
-	Witnessed bool
 }
 
-// NewProgram instantiates a pattern for one design.
-func NewProgram(p Pattern, d dataflow.OrderDesign) *Program {
-	return &Program{P: p, StaticClaim: StaticOrdered(p, d)}
-}
+// NewProgram instantiates a pattern.
+func NewProgram(p Pattern) *Program { return &Program{P: p} }
 
 // Name implements workload.Workload.
 func (pr *Program) Name() string { return "litmus-" + pr.P.Name }
@@ -389,8 +385,17 @@ func (pr *Program) Setup(e *workload.Env, t *machine.Thread) {
 }
 
 // VarAddr returns variable v's persistent slot (valid after Setup).
-// The model checker reads these from persisted-image snapshots.
 func (pr *Program) VarAddr(v int) mem.Addr { return pr.addr(v) }
+
+// Vars reads every pattern variable from img: the vector
+// Pattern.Classify judges.
+func (pr *Program) Vars(img *mem.Image) []uint64 {
+	vec := make([]uint64, pr.P.NumVars())
+	for v := range vec {
+		vec[v] = img.ReadU64(pr.addr(v))
+	}
+	return vec
+}
 
 // Mutex returns the program's lock, so a controlled scheduler can
 // consult its holder before releasing a thread whose next op is OpLock.
@@ -477,35 +482,13 @@ func (pr *Program) Run(e *workload.Env, t *machine.Thread, tid int) {
 	m.DurableBarrier(t)
 }
 
-// Verify implements workload.Workload. On any image (recovered after a
-// crash, or coherent after a full run) every variable must hold zero
-// or one of its written values — anything else is a torn write. The
-// claim check: an image holding Commit's final value without Data's
-// final value refutes an ORDERED verdict (error) and witnesses an
-// UNORDERED one (recorded).
+// Verify implements workload.Workload: a torn value on any image
+// (recovered after a crash, or coherent after a full run) fails it. The
+// ordering claim needs the design's verdict, so the model checker
+// judges it from the image chain instead.
 func (pr *Program) Verify(img *mem.Image, completedOps uint64) error {
-	counts := pr.P.storeCounts()
-	for v := range counts {
-		got := img.ReadU64(pr.addr(v))
-		ok := got == 0
-		for kk := 0; kk < counts[v]; kk++ {
-			ok = ok || got == storeValue(v, kk)
-		}
-		if !ok {
-			return fmt.Errorf("litmus %s: var %d holds %d, never written", pr.P.Name, v, got)
-		}
-	}
-	commitFinal := pr.P.FinalValue(Commit)
-	dataFinal := pr.P.FinalValue(Data)
-	if commitFinal == 0 {
-		return nil
-	}
-	if img.ReadU64(pr.addr(Commit)) == commitFinal && img.ReadU64(pr.addr(Data)) != dataFinal {
-		if pr.StaticClaim {
-			return fmt.Errorf("litmus %s: ORDERED claim refuted: commit value %d persisted without data value %d",
-				pr.P.Name, commitFinal, dataFinal)
-		}
-		pr.Witnessed = true
+	if _, err := pr.P.Classify(pr.Vars(img)); err != nil {
+		return fmt.Errorf("litmus %s: %w", pr.P.Name, err)
 	}
 	return nil
 }

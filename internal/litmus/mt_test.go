@@ -107,35 +107,3 @@ func TestMTCrossThreadNeverOrdered(t *testing.T) {
 		}
 	}
 }
-
-// TestMTLitmusSmallRun round-trips MT patterns through the Program
-// interpreter and the crash harness: real workers, real mutex, real
-// join barrier, on every design. The differential contract must hold —
-// in particular zero refutations of the ORDERED rows, whatever single
-// schedule the default (clock, id) dispatch picks.
-func TestMTLitmusSmallRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("crash campaign in -short mode")
-	}
-	sub := []Pattern{}
-	for _, name := range []string{"mt-flush-race", "mt-bg-noise-ordered", "mt-lock-ordered", "mt-lock-handoff", "mt-strand-race"} {
-		p, ok := MTPatternByName(name)
-		if !ok {
-			t.Fatalf("MT pattern %q missing", name)
-		}
-		sub = append(sub, p)
-	}
-	rep := RunCorpus(sub, Options{PointBudget: 5})
-	if !rep.Ok() {
-		for _, c := range rep.Cells {
-			if c.Refuted || c.Static != c.Expected || len(c.Failures) > 0 {
-				t.Errorf("cell %s/%s: refuted=%v static=%v expected=%v failures=%v",
-					c.Pattern, c.Design, c.Refuted, c.Static, c.Expected, c.Failures)
-			}
-		}
-		t.Fatalf("MT campaign not ok: %s", rep.Summary())
-	}
-	if rep.Trials == 0 || rep.Patterns != len(sub) || rep.Designs != 5 {
-		t.Fatalf("unexpected report shape: %s", rep.Summary())
-	}
-}

@@ -154,14 +154,3 @@ func MTCorpus() []Pattern {
 		},
 	}
 }
-
-// MTPatternByName returns the multi-threaded pattern with the given
-// name, or false.
-func MTPatternByName(name string) (Pattern, bool) {
-	for _, p := range MTCorpus() {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return Pattern{}, false
-}

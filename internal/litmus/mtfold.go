@@ -195,7 +195,7 @@ func mtClaim(p Pattern, st *mtState, d dataflow.OrderDesign, counts []int, commi
 			return true
 		}
 	}
-	if dataflow.LineCoalesce(d) && p.sameBlock(Data, Commit) {
+	if dataflow.LineCoalesce(d) && p.SameBlock(Data, Commit) {
 		if n, ok := st.th[p.storeOwner(Data)].nodes[Data]; ok && n.s != dataflow.ONPoisoned {
 			return true
 		}
@@ -240,18 +240,18 @@ func staticOrderedMT(p Pattern, d dataflow.OrderDesign) bool {
 				}
 			case OpCLWB:
 				if dataflow.LowerISAOp(dataflow.ICLWB, d) == dataflow.OEFlush {
-					mtApplyFlush(p, next, t, func(v int) bool { return p.sameBlock(v, op.Var) })
+					mtApplyFlush(p, next, t, func(v int) bool { return p.SameBlock(v, op.Var) })
 				}
 			case OpLock:
 				next.holder = t
-				mtApplyEvent(next, t, lowerOp(op.Kind, d), d)
+				mtApplyEvent(next, t, LowerKind(op.Kind, d), d)
 			case OpUnlock:
 				if next.holder == t {
 					next.holder = -1
 				}
-				mtApplyEvent(next, t, lowerOp(op.Kind, d), d)
+				mtApplyEvent(next, t, LowerKind(op.Kind, d), d)
 			default:
-				mtApplyEvent(next, t, lowerOp(op.Kind, d), d)
+				mtApplyEvent(next, t, LowerKind(op.Kind, d), d)
 			}
 			if !explore(next) {
 				return false

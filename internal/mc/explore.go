@@ -1,9 +1,10 @@
-// Package mc is the exhaustive small-scope model checker for
-// multi-threaded persistency litmus patterns: it drives the simulator
-// through every non-equivalent thread interleaving of a pattern
-// (dynamic partial-order reduction with sleep sets) and, for each
-// schedule, enumerates every reachable crash image from a single
-// no-crash run.
+// Package mc is the repository's one persist-order checker: an
+// exhaustive small-scope model checker for the persistency litmus
+// corpus (internal/litmus). It drives the simulator through every
+// non-equivalent thread interleaving of a pattern (dynamic
+// partial-order reduction with sleep sets) and, for each schedule,
+// enumerates every reachable crash image from a single no-crash run.
+// A single-threaded pattern is the degenerate cell: one schedule.
 //
 // Two layers make that tractable. Schedule enumeration is static: a
 // litmus op issues atomically under the controlled scheduler, so the
@@ -105,7 +106,7 @@ type Enumeration struct {
 
 // enumerate explores the pattern's interleavings under design d with
 // sleep-set partial-order reduction. cap > 0 bounds the number of
-// complete schedules collected (quick mode); the DFS order is
+// complete schedules collected (-max-schedules); the DFS order is
 // deterministic, so a capped enumeration is always the same prefix.
 func enumerate(p litmus.Pattern, d dataflow.OrderDesign, cap int) Enumeration {
 	nt := p.NThreads()

@@ -18,8 +18,8 @@ type Options struct {
 	// Pattern filters the corpus by substring match on pattern name.
 	Pattern string
 	// MaxPatterns stride-subsamples the corpus to at most this many
-	// patterns (0: all), deterministically — quick CI always checks the
-	// same cells.
+	// patterns (0: all), deterministically — a subsampled run always
+	// checks the same cells.
 	MaxPatterns int
 	// MaxSchedules caps explored schedules per cell (0: exhaustive).
 	// The DFS order is deterministic, so a capped cell always runs the
@@ -36,7 +36,8 @@ type Options struct {
 type CellResult struct {
 	Pattern string `json:"pattern"`
 	Design  string `json:"design"`
-	// Static is the interleaving-quantified MT fold verdict.
+	// Static is the order-lattice fold verdict (interleaving-quantified
+	// for multi-threaded patterns).
 	Static bool `json:"static_ordered"`
 	// Expected is the corpus's hand-derived verdict; Static must match.
 	Expected bool `json:"expected_ordered"`
@@ -55,8 +56,8 @@ type CellResult struct {
 	// fingerprint pruning; only these need classification.
 	UniqueImages int `json:"unique_images"`
 	// Witnessed: some schedule's crash image held commit-without-data.
-	// Meaningful when !Static — it is the outcome a single-schedule
-	// harness may miss.
+	// Meaningful when !Static; on multi-threaded patterns it is the
+	// outcome a single default-dispatch schedule may miss.
 	Witnessed bool `json:"witnessed"`
 	// Refuted: a crash image held commit-without-data although the
 	// fold claimed ORDERED. Any refuted cell fails the campaign.
@@ -99,9 +100,15 @@ func (r Report) Summary() string {
 		r.FailedCells, r.CappedCells)
 }
 
-// Run model-checks the multi-threaded litmus corpus.
+// Corpus is the pattern set Run checks: the single-threaded litmus
+// corpus (one schedule per cell) followed by the multi-threaded one.
+func Corpus() []litmus.Pattern {
+	return append(litmus.Corpus(), litmus.MTCorpus()...)
+}
+
+// Run model-checks Corpus.
 func Run(opts Options) Report {
-	return RunCorpus(litmus.MTCorpus(), opts)
+	return RunCorpus(Corpus(), opts)
 }
 
 // RunCorpus is Run over an explicit pattern set (tests use small ones).
@@ -172,13 +179,10 @@ func runCell(p litmus.Pattern, od dataflow.OrderDesign, md machine.Design, maxSc
 	cell.Bound = enum.Bound
 	cell.Capped = enum.Capped
 
-	counts := p.StoreCounts()
-	dataFinal := p.FinalValue(litmus.Data)
-	commitFinal := p.FinalValue(litmus.Commit)
 	unique := map[string]bool{}
 
 	for si, script := range enum.Scripts {
-		chain, err := runSchedule(p, od, md, script)
+		chain, err := runSchedule(p, md, script)
 		cell.Schedules++
 		if err != nil {
 			cell.Failures = append(cell.Failures,
@@ -187,27 +191,18 @@ func runCell(p litmus.Pattern, od dataflow.OrderDesign, md machine.Design, maxSc
 		}
 		cell.Images += len(chain)
 		for _, vec := range chain {
-			if !unique[fingerprint(vec)] {
-				unique[fingerprint(vec)] = true
-			}
-			for v := range vec {
-				if !legalValue(vec[v], v, counts[v]) {
-					cell.Failures = append(cell.Failures,
-						fmt.Sprintf("schedule %d %v: torn image: var %d holds %d, never written",
-							si, script, v, vec[v]))
-				}
-			}
-			if commitFinal != 0 && vec[litmus.Commit] == commitFinal && vec[litmus.Data] != dataFinal {
-				if cell.Static {
-					if !cell.Refuted {
-						cell.Refuted = true
-						cell.Failures = append(cell.Failures,
-							fmt.Sprintf("schedule %d %v: ORDERED claim refuted: image %v holds commit %d without data %d",
-								si, script, vec, commitFinal, dataFinal))
-					}
-				} else {
-					cell.Witnessed = true
-				}
+			unique[fingerprint(vec)] = true
+			switch commitWithoutData, err := p.Classify(vec); {
+			case err != nil:
+				cell.Failures = append(cell.Failures,
+					fmt.Sprintf("schedule %d %v: torn image: %v", si, script, err))
+			case commitWithoutData && !cell.Static:
+				cell.Witnessed = true
+			case commitWithoutData && !cell.Refuted:
+				cell.Refuted = true
+				cell.Failures = append(cell.Failures,
+					fmt.Sprintf("schedule %d %v: ORDERED claim refuted: image %v holds commit %d without data %d",
+						si, script, vec, p.FinalValue(litmus.Commit), p.FinalValue(litmus.Data)))
 			}
 		}
 	}
@@ -216,8 +211,8 @@ func runCell(p litmus.Pattern, od dataflow.OrderDesign, md machine.Design, maxSc
 }
 
 // runSchedule executes one schedule and returns its crash-image chain.
-func runSchedule(p litmus.Pattern, od dataflow.OrderDesign, md machine.Design, script []int) ([][]uint64, error) {
-	prog := litmus.NewProgram(p, od)
+func runSchedule(p litmus.Pattern, md machine.Design, script []int) ([][]uint64, error) {
+	prog := litmus.NewProgram(p)
 	r := newReplayer(prog, script, p.NThreads())
 	prog.Hook = r.hook
 	spec := harness.TrialSpec{
@@ -234,20 +229,6 @@ func runSchedule(p litmus.Pattern, od dataflow.OrderDesign, md machine.Design, s
 		return nil, fmt.Errorf("final image verification: %w", out.VerifyErr)
 	}
 	return r.finish()
-}
-
-// legalValue reports whether a persisted value is zero or one of the
-// variable's written values.
-func legalValue(got uint64, v, count int) bool {
-	if got == 0 {
-		return true
-	}
-	for k := 0; k < count; k++ {
-		if got == litmus.StoreValue(v, k) {
-			return true
-		}
-	}
-	return false
 }
 
 // fingerprint is the persistence-state key used to prune equivalent

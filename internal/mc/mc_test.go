@@ -2,19 +2,95 @@ package mc
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"pmemspec/internal/analysis/dataflow"
+	"pmemspec/internal/harness"
 	"pmemspec/internal/litmus"
+	"pmemspec/internal/machine"
+	"pmemspec/internal/workload"
 )
 
 func mustPattern(t *testing.T, name string) litmus.Pattern {
 	t.Helper()
-	p, ok := litmus.MTPatternByName(name)
-	if !ok {
-		t.Fatalf("MT pattern %q missing", name)
+	for _, p := range Corpus() {
+		if p.Name == name {
+			return p
+		}
 	}
-	return p
+	t.Fatalf("pattern %q missing", name)
+	return litmus.Pattern{}
+}
+
+// referenceImages is the default-dispatch reference the model checker
+// is tested against. It discovers the persist boundaries of one run of
+// p on md under the kernel's default (clock, id) policy, crashes a
+// fresh run at each boundary-aligned crash point (at most budget
+// boundary instants; 0: all), and returns each crashed image's
+// variable vector after recovery. The vectors are read at the
+// discovery run's addresses (allocation is deterministic), so a crash
+// before Setup allocated the variables still reads their slots. A
+// trial error or a torn recovered image is an error.
+func referenceImages(p litmus.Pattern, md machine.Design, budget int) ([][]uint64, error) {
+	spec := harness.TrialSpec{
+		Design: md,
+		Params: workload.Params{Threads: p.NThreads(), Ops: 1, Seed: 1},
+	}
+	layout := litmus.NewProgram(p)
+	bounds, err := harness.DiscoverBoundariesFor(spec, layout)
+	if err != nil {
+		return nil, err
+	}
+	var images [][]uint64
+	for _, pt := range bounds.Points(budget) {
+		var m *machine.Machine
+		spec.Point = pt
+		spec.Instrument = func(mm *machine.Machine) { m = mm }
+		out, err := harness.RunTrialWith(spec, litmus.NewProgram(p))
+		if err == nil {
+			err = out.VerifyErr
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", pt.Label, err)
+		}
+		images = append(images, layout.Vars(m.Space().PM))
+	}
+	return images, nil
+}
+
+// refCell is one cell's reference crash images.
+type refCell struct {
+	p      litmus.Pattern
+	pair   litmus.DesignPair
+	images [][]uint64
+}
+
+// referenceSweep runs referenceImages over every patterns × pairs cell
+// on the worker pool, in cell order.
+func referenceSweep(t *testing.T, patterns []litmus.Pattern, pairs []litmus.DesignPair, budget int) []refCell {
+	t.Helper()
+	var jobs []harness.Job[refCell]
+	for _, p := range patterns {
+		for _, pr := range pairs {
+			p, pr := p, pr
+			jobs = append(jobs, harness.Job[refCell]{
+				Label: fmt.Sprintf("reference %s/%s", p.Name, pr.Order),
+				Run: func() (refCell, error) {
+					images, err := referenceImages(p, pr.Machine, budget)
+					return refCell{p, pr, images}, err
+				},
+			})
+		}
+	}
+	var cells []refCell
+	for i, jr := range harness.RunAll(jobs, 0, nil) {
+		if jr.Err != nil {
+			t.Fatalf("%s: %v", jobs[i].Label, jr.Err)
+		}
+		cells = append(cells, jr.Result)
+	}
+	return cells
 }
 
 // TestEnumerateReduction pins the sleep-set layer on the simplest
@@ -35,10 +111,11 @@ func TestEnumerateReduction(t *testing.T) {
 }
 
 // TestEnumerateCoversAllOps checks every script releases every op of
-// every thread exactly once, for every corpus pattern × design, and
-// that the explored count never exceeds the unreduced bound.
+// every thread exactly once, for every corpus pattern × design, that
+// the explored count never exceeds the unreduced bound, and that a
+// single-threaded pattern is one schedule of bound 1.
 func TestEnumerateCoversAllOps(t *testing.T) {
-	for _, p := range litmus.MTCorpus() {
+	for _, p := range Corpus() {
 		total := 0
 		perThread := make([]int, p.NThreads())
 		for tid := 0; tid < p.NThreads(); tid++ {
@@ -55,6 +132,10 @@ func TestEnumerateCoversAllOps(t *testing.T) {
 			}
 			if e.Capped {
 				t.Errorf("%s on %s: capped without a cap", p.Name, d)
+			}
+			if !p.MT() && (len(e.Scripts) != 1 || e.Bound != 1) {
+				t.Errorf("%s on %s: single-threaded pattern gave %d schedules (bound %d), want 1 (bound 1)",
+					p.Name, d, len(e.Scripts), e.Bound)
 			}
 			for _, s := range e.Scripts {
 				if len(s) != total {
@@ -93,8 +174,8 @@ func TestEnumeratePrunes(t *testing.T) {
 	}
 }
 
-// TestEnumerateCap pins quick-mode determinism: a capped enumeration
-// is a prefix of the full one.
+// TestEnumerateCap pins -max-schedules determinism: a capped
+// enumeration is a prefix of the full one.
 func TestEnumerateCap(t *testing.T) {
 	p := mustPattern(t, "mt-flush-race")
 	full := enumerate(p, dataflow.DesignDPO, 0)
@@ -145,9 +226,10 @@ func TestMCSingleCell(t *testing.T) {
 	}
 }
 
-// TestMCCorpus is the exhaustive sweep: every MT pattern × design,
-// every non-equivalent schedule, every crash image. Zero refutations
-// of the hand-derived ORDERED verdicts is the tentpole contract.
+// TestMCCorpus is the exhaustive sweep Run performs: every single- and
+// multi-threaded pattern × design, every non-equivalent schedule, every
+// crash image. Zero refutations of the hand-derived ORDERED verdicts is
+// the contract.
 func TestMCCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive sweep in -short mode")
@@ -171,7 +253,7 @@ func TestMCCorpus(t *testing.T) {
 	if rep.CappedCells != 0 {
 		t.Errorf("%d cells capped in an uncapped sweep", rep.CappedCells)
 	}
-	if rep.Patterns < 12 || rep.Designs != 5 {
+	if rep.Patterns != len(litmus.Corpus())+len(litmus.MTCorpus()) || rep.Designs != 5 {
 		t.Errorf("unexpected sweep shape: %s", rep.Summary())
 	}
 	t.Logf("sweep: %s", rep.Summary())
@@ -185,7 +267,7 @@ func TestMCDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short mode")
 	}
-	sub := []litmus.Pattern{mustPattern(t, "mt-cross-bare"), mustPattern(t, "mt-remote-flush-commit")}
+	sub := []litmus.Pattern{mustPattern(t, "flush-order"), mustPattern(t, "mt-cross-bare"), mustPattern(t, "mt-remote-flush-commit")}
 	run := func(workers int) []byte {
 		rep := RunCorpus(sub, Options{Parallel: workers})
 		b, err := json.Marshal(rep)
@@ -204,21 +286,23 @@ func TestMCDeterministic(t *testing.T) {
 // exists to close. mt-flush-race on IntelX86: under the default
 // (clock, id) dispatch the two threads run in lockstep and thread 0's
 // flush of Data always admits no later than thread 1's flush of
-// Commit, so the single-schedule crash harness can probe every persist
-// boundary and never see commit-without-data. The schedule that runs
-// thread 1 first exposes it — and the model checker must find it.
+// Commit, so a crash at every persist boundary of that run never sees
+// commit-without-data. The schedule that runs thread 1 first exposes
+// it — and the model checker must find it.
 func TestWitnessMissRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short mode")
 	}
 	p := mustPattern(t, "mt-flush-race")
 
-	single := litmus.RunCorpus([]litmus.Pattern{p}, litmus.Options{Designs: []string{"IntelX86"}})
-	if !single.Ok() || len(single.Cells) != 1 {
-		t.Fatalf("single-schedule campaign broken: %s", single.Summary())
+	images, err := referenceImages(p, machine.IntelX86, 0)
+	if err != nil {
+		t.Fatalf("reference sweep broken: %v", err)
 	}
-	if single.Cells[0].Witnessed {
-		t.Fatalf("premise broke: the single-schedule harness witnessed mt-flush-race on IntelX86 — pick a new regression pattern")
+	for _, img := range images {
+		if cwd, err := p.Classify(img); err != nil || cwd {
+			t.Fatalf("premise broke: default dispatch gave image %v (torn: %v) on mt-flush-race/IntelX86 — pick a new regression pattern", img, err)
+		}
 	}
 
 	checked := RunCorpus([]litmus.Pattern{p}, Options{Designs: []string{"IntelX86"}})
@@ -226,6 +310,84 @@ func TestWitnessMissRegression(t *testing.T) {
 		t.Fatalf("model-checking campaign broken: %s", checked.Summary())
 	}
 	if !checked.Cells[0].Witnessed {
-		t.Fatalf("model checker missed the cross-schedule witness the harness also misses: %+v", checked.Cells[0])
+		t.Fatalf("model checker missed the cross-schedule witness default dispatch misses: %+v", checked.Cells[0])
 	}
+}
+
+// TestMTLitmusSmallRun runs MT patterns under the default (clock, id)
+// dispatch — real workers, real mutex, real join barrier — on every
+// design and crashes them at boundary-aligned points: no image may be
+// torn or refute an ORDERED row. The model checker releases one op at a
+// time, so this is the only probe of sub-op timing for MT patterns.
+func TestMTLitmusSmallRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash sweep in -short mode")
+	}
+	var sub []litmus.Pattern
+	for _, name := range []string{"mt-flush-race", "mt-bg-noise-ordered", "mt-lock-ordered", "mt-lock-handoff", "mt-strand-race"} {
+		sub = append(sub, mustPattern(t, name))
+	}
+	_, pairs := litmus.Select(nil, "", 0, nil)
+	for _, c := range referenceSweep(t, sub, pairs, 5) {
+		ordered := litmus.StaticOrdered(c.p, c.pair.Order)
+		for _, img := range c.images {
+			cwd, err := c.p.Classify(img)
+			if err != nil {
+				t.Errorf("%s/%s: torn image %v: %v", c.p.Name, c.pair.Order, img, err)
+			}
+			if cwd && ordered {
+				t.Errorf("%s/%s: ORDERED claim refuted by image %v", c.p.Name, c.pair.Order, img)
+			}
+		}
+	}
+}
+
+// TestChainCoversCrashSweep is the differential proof that one
+// no-crash run's persist-observer chain holds every crash image: for
+// single-threaded cells (exactly one schedule), every image of a
+// re-simulating crash sweep at boundary-aligned points must be an
+// entry of the cell's chain, and every cell the sweep witnesses the
+// model checker must witness too.
+// The selection is 10 stride-picked patterns × 5 designs × 6 boundary
+// instants (3 crash points each): 900 images.
+func TestChainCoversCrashSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash sweep in -short mode")
+	}
+	patterns, pairs := litmus.Select(litmus.Corpus(), "", 10, nil)
+	total, missing := 0, 0
+	for _, c := range referenceSweep(t, patterns, pairs, 6) {
+		chain, err := runSchedule(c.p, c.pair.Machine, enumerate(c.p, c.pair.Order, 0).Scripts[0])
+		if err != nil {
+			t.Fatalf("%s/%s: %v", c.p.Name, c.pair.Order, err)
+		}
+		witnesses := func(vec []uint64) bool {
+			cwd, err := c.p.Classify(vec)
+			if err != nil {
+				t.Errorf("%s/%s: torn image %v: %v", c.p.Name, c.pair.Order, vec, err)
+			}
+			return cwd
+		}
+		inChain := map[string]bool{}
+		mcWitnessed := false
+		for _, vec := range chain {
+			inChain[fingerprint(vec)] = true
+			mcWitnessed = witnesses(vec) || mcWitnessed
+		}
+		for _, img := range c.images {
+			total++
+			if !inChain[fingerprint(img)] {
+				missing++
+				t.Errorf("%s/%s: crash image %v is not in the chain %v", c.p.Name, c.pair.Order, img, chain)
+			}
+			if witnesses(img) && !mcWitnessed {
+				t.Errorf("%s/%s: crash image %v witnesses commit-without-data, the model checker does not",
+					c.p.Name, c.pair.Order, img)
+			}
+		}
+	}
+	if total != 900 {
+		t.Errorf("swept %d crash images, want 900", total)
+	}
+	t.Logf("%d of %d crash images missing from the chains", missing, total)
 }

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"fmt"
+	"slices"
 
 	"pmemspec/internal/litmus"
 	"pmemspec/internal/machine"
@@ -71,25 +72,11 @@ func (r *replayer) observe() {
 	if r.prog.VarAddr(litmus.Data) == 0 {
 		return
 	}
-	n := r.prog.P.NumVars()
-	vec := make([]uint64, n)
-	pm := r.m.Space().PM
-	for v := 0; v < n; v++ {
-		vec[v] = pm.ReadU64(r.prog.VarAddr(v))
-	}
-	if len(r.chain) > 0 && equalVec(r.chain[len(r.chain)-1], vec) {
+	vec := r.prog.Vars(r.m.Space().PM)
+	if len(r.chain) > 0 && slices.Equal(r.chain[len(r.chain)-1], vec) {
 		return
 	}
 	r.chain = append(r.chain, vec)
-}
-
-func equalVec(a, b []uint64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // hook is litmus.Program.Hook: each worker parks here before every
