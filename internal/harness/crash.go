@@ -58,7 +58,11 @@ type TrialSpec struct {
 	// Instrument, when non-nil, runs on the constructed machine before
 	// any thread is spawned. The model checker uses it to install its
 	// controlled scheduler and persist observer; anything a bounds
-	// discovery run can observe, an Instrument hook can too.
+	// discovery run can observe, an Instrument hook can too. The hook and
+	// the observers it installs must not use the machine or its images
+	// after the trial returns: the trial releases the machine once the
+	// outcome is extracted, and its PM images are recycled into later
+	// machines.
 	Instrument func(*machine.Machine)
 }
 
@@ -122,6 +126,9 @@ func runTrial(spec TrialSpec, w workload.Workload, bounds *Boundaries) (CrashOut
 		out.Err = err
 		return out, err
 	}
+	// Recycle the PM images once the outcome is extracted, so the next
+	// trial's machine clears only their dirty prefixes.
+	defer m.Release()
 	os := osint.New(m)
 	rt := fatomic.New(m, persist.ForDesign(spec.Design), os, spec.Mode)
 	heap := mem.NewHeap(m.Space(), fatomic.HeapReserve(p.Threads))

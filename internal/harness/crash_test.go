@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -192,6 +193,38 @@ func TestRunTrialsRecordsErrors(t *testing.T) {
 	}
 	if outs[1].Err != nil || outs[1].VerifyErr != nil {
 		t.Errorf("healthy trial after a broken one: err=%v verify=%v", outs[1].Err, outs[1].VerifyErr)
+	}
+}
+
+// TestRecycledImagesLeakNoState: every trial releases its machine, so
+// the next trial's PM images are recycled arrays that still hold the
+// previous run's bytes until cleared. On a one-worker pool, a small
+// crash trial (queue, mid-run crash with injection, so recovery reads
+// the logs) run after a large-footprint one (tpcc) must reproduce its
+// outcome as the first trial, metrics included. The tpcc trial crashes
+// on IntelX86, so its two images differ wherever it had not flushed: a
+// stale byte leaking into queue's images turns a PMEM-Spec fetch of a
+// fresh block into a stale one, which moves the metrics.
+func TestRecycledImagesLeakNoState(t *testing.T) {
+	queue := TrialSpec{Design: machine.PMEMSpec, Workload: "queue",
+		Params: params("queue", 2, 40, 7),
+		Point:  CrashPoint{AtNS: 225_000, Label: "mid"},
+		Inject: InjectionPlan{StalePeriodNS: 3_000, OOOPeriodNS: 5_000}}
+	tpcc := TrialSpec{Design: machine.IntelX86, Workload: "tpcc",
+		Params: params("tpcc", 4, 100, 7), Point: CrashPoint{AtNS: 200_000, Label: "early"}}
+	r := &Runner{Parallel: 1}
+	first := r.RunTrials([]TrialSpec{queue, tpcc})
+	after := r.RunTrials([]TrialSpec{tpcc, queue})
+	for _, o := range append(first, after...) {
+		if o.Err != nil || o.VerifyErr != nil || !o.Crashed {
+			t.Fatalf("%s trial: err=%v verify=%v crashed=%v", o.Workload, o.Err, o.VerifyErr, o.Crashed)
+		}
+	}
+	if first[0].Recovery.ThreadsRolledBack == 0 {
+		t.Fatalf("queue trial must crash with a section in flight: %+v", first[0].Recovery)
+	}
+	if !reflect.DeepEqual(first[0], after[1]) {
+		t.Errorf("queue trial after tpcc differs from queue first:\nfirst: %+v\nafter: %+v", first[0], after[1])
 	}
 }
 

@@ -78,15 +78,16 @@ type Machine struct {
 	// core: HOPS's coherence-based inter-thread dependency tracking
 	// (sticky-M). A conflicting access from another core inherits the
 	// pending drain time as a dependency its next dfence must respect.
-	// Flat array over the PM region, indexed by block; the live flag and
-	// hopsLive* fields reproduce the bounded tracking-table semantics
-	// exactly: past 8192 live entries, stale ones are dropped, and a
-	// dropped entry no longer confers a dependency even to a core whose
-	// (lagging) clock still precedes its admission.
-	hopsPending   []hopsDep
+	// Block table over the PM region; the live flag and hopsLive* fields
+	// reproduce the bounded tracking-table semantics exactly: past 8192
+	// live entries, stale ones are dropped, and a dropped entry no longer
+	// confers a dependency even to a core whose (lagging) clock still
+	// precedes its admission.
+	hopsPending   mem.BlockTable[hopsDep]
 	hopsLiveList  []uint32
 	hopsLiveCount int
-	// hopsDepHorizon is each core's inherited dependency drain horizon.
+	// hopsDepHorizon is each core's inherited dependency drain horizon;
+	// nil unless HOPS.
 	hopsDepHorizon []sim.Time
 
 	// Pooled-event handler queues for the per-operation deferred actions
@@ -216,7 +217,7 @@ func New(cfg Config) (*Machine, error) {
 		}
 		if cfg.Design == HOPS {
 			m.bloom = pmc.NewBloom(cfg.BloomBuckets, cfg.BloomLookupCost)
-			m.hopsPending = make([]hopsDep, (cfg.MemBytes+mem.BlockSize-1)/mem.BlockSize)
+			m.hopsPending = mem.NewBlockTable[hopsDep]("machine: HOPS pending", mem.DefaultBase, cfg.MemBytes)
 			m.hopsDepHorizon = make([]sim.Time, cfg.Cores)
 		}
 		onDrain := func(a mem.Addr, d []byte, at sim.Time) {
@@ -274,10 +275,11 @@ type hopsDep struct {
 // passed is simply no longer pending (no eager pruning needed with the
 // flat table).
 func (m *Machine) hopsTouch(core int, blk mem.Addr, now sim.Time, storeAdmit sim.Time, isStore bool) {
-	if m.hopsPending == nil {
+	if m.hopsDepHorizon == nil {
 		return
 	}
-	d := &m.hopsPending[uint64(blk-mem.DefaultBase)/mem.BlockSize]
+	i := m.hopsPending.Block(blk)
+	d := m.hopsPending.Ref(i)
 	if d.live {
 		if d.admit <= now {
 			d.live = false
@@ -292,14 +294,14 @@ func (m *Machine) hopsTouch(core int, blk mem.Addr, now sim.Time, storeAdmit sim
 			m.hopsLiveCount++
 			if !d.inList {
 				d.inList = true
-				m.hopsLiveList = append(m.hopsLiveList, uint32(uint64(blk-mem.DefaultBase)/mem.BlockSize))
+				m.hopsLiveList = append(m.hopsLiveList, uint32(i))
 			}
 		}
 		d.core, d.admit = int32(core), storeAdmit
 		if m.hopsLiveCount > 8192 {
 			kept := m.hopsLiveList[:0]
 			for _, bi := range m.hopsLiveList {
-				e := &m.hopsPending[bi]
+				e := m.hopsPending.Ref(uint64(bi))
 				switch {
 				case !e.live:
 					e.inList = false
@@ -499,9 +501,10 @@ func (m *Machine) ScheduleCrash(at sim.Time) {
 // experiment harness invokes it between a workload's (unmeasured) setup
 // and the measured kernel, so crash-recovery checks start from a durable
 // baseline regardless of how lazily the design would have persisted the
-// setup stores. It takes no simulated time.
+// setup stores. It takes no simulated time. The copy is in place and
+// covers only the dirty prefixes, so its cost tracks the bytes written.
 func (m *Machine) SyncPersistedToArch() {
-	m.space.PM = m.space.Arch.Clone()
+	m.space.PM.CopyFrom(m.space.Arch)
 	m.notifyPersist()
 }
 

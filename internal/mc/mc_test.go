@@ -28,10 +28,17 @@ func mustPattern(t *testing.T, name string) litmus.Pattern {
 // p on md under the kernel's default (clock, id) policy, crashes a
 // fresh run at each boundary-aligned crash point (at most budget
 // boundary instants; 0: all), and returns each crashed image's
-// variable vector after recovery. The vectors are read at the
-// discovery run's addresses (allocation is deterministic), so a crash
-// before Setup allocated the variables still reads their slots. A
-// trial error or a torn recovered image is an error.
+// variable vector. The vectors are read at the discovery run's
+// addresses (allocation is deterministic), so a crash before Setup
+// allocated the variables still reads their slots. A trial error or a
+// torn recovered image is an error.
+//
+// The trial releases its machine when it returns, so the image is
+// captured inside the run: seeded from the fresh machine, then re-read
+// at every persist-observer notification. The persisted image changes
+// only at those sites and a crash only discards volatile state, so the
+// last read is the crashed image. Recovery leaves the variables alone:
+// litmus programs log no failure-atomic sections.
 func referenceImages(p litmus.Pattern, md machine.Design, budget int) ([][]uint64, error) {
 	spec := harness.TrialSpec{
 		Design: md,
@@ -44,9 +51,12 @@ func referenceImages(p litmus.Pattern, md machine.Design, budget int) ([][]uint6
 	}
 	var images [][]uint64
 	for _, pt := range bounds.Points(budget) {
-		var m *machine.Machine
+		var vec []uint64
 		spec.Point = pt
-		spec.Instrument = func(mm *machine.Machine) { m = mm }
+		spec.Instrument = func(m *machine.Machine) {
+			vec = layout.Vars(m.Space().PM)
+			m.SetPersistObserver(func() { vec = layout.Vars(m.Space().PM) })
+		}
 		out, err := harness.RunTrialWith(spec, litmus.NewProgram(p))
 		if err == nil {
 			err = out.VerifyErr
@@ -54,7 +64,7 @@ func referenceImages(p litmus.Pattern, md machine.Design, budget int) ([][]uint6
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", pt.Label, err)
 		}
-		images = append(images, layout.Vars(m.Space().PM))
+		images = append(images, vec)
 	}
 	return images, nil
 }

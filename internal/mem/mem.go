@@ -15,6 +15,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -39,7 +41,8 @@ type Image struct {
 	data []byte
 	// hwm is one past the highest byte ever written — the dirty prefix.
 	// Everything at or beyond hwm is still zero, so a recycled image only
-	// has to clear [0, hwm) instead of its full (typically 64 MB) length.
+	// has to clear [0, hwm) instead of its full (typically 64 MB) length,
+	// and a copy only has to copy it.
 	hwm uint64
 }
 
@@ -47,7 +50,18 @@ type Image struct {
 // fresh multi-megabyte image per (design, workload) grid cell was ~10%
 // of fig10 wall-clock; recycled images clear only their dirty prefix.
 // Small images (tests) bypass the pool.
-var imagePool sync.Pool
+//
+// It is a free list, most recently released last, not a sync.Pool: a
+// sync.Pool empties itself over garbage collections and keeps per-P
+// slots that other Ps cannot take from, so how many runs had to zero a
+// fresh 64 MB array varied with GC and scheduler timing. The free list
+// keeps a released array until a NewImage or Clone of its size takes
+// it, up to two arrays (a machine's two images) per P, the harness's
+// default worker count.
+var imagePool struct {
+	sync.Mutex
+	free []*Image
+}
 
 const imagePoolMin = 1 << 20
 
@@ -64,16 +78,18 @@ func NewImage(base Addr, size uint64) *Image {
 
 // pooledImage returns a recycled image of exactly the requested size, or
 // nil. Its dirty prefix [0, hwm) has NOT been cleared — NewImage zeroes
-// it, Clone overwrites the whole array anyway.
+// it, Clone overwrites it through CopyFrom.
 func pooledImage(size uint64) *Image {
 	if size < imagePoolMin {
 		return nil
 	}
-	if v := imagePool.Get(); v != nil {
-		if im := v.(*Image); uint64(len(im.data)) == size {
+	imagePool.Lock()
+	defer imagePool.Unlock()
+	for i := len(imagePool.free) - 1; i >= 0; i-- {
+		if im := imagePool.free[i]; uint64(len(im.data)) == size {
+			imagePool.free = slices.Delete(imagePool.free, i, i+1)
 			return im
 		}
-		// Wrong size: drop it and let the GC reclaim the array.
 	}
 	return nil
 }
@@ -92,7 +108,13 @@ func (im *Image) Release() {
 	if uint64(len(d)) >= imagePoolMin {
 		// Pool a fresh wrapper rather than im itself: the caller still
 		// holds im, and a pooled object must have exactly one owner.
-		imagePool.Put(&Image{data: d, hwm: im.hwm})
+		imagePool.Lock()
+		if len(imagePool.free) >= 2*runtime.GOMAXPROCS(0) {
+			// Full: drop the least recently released array.
+			imagePool.free = slices.Delete(imagePool.free, 0, 1)
+		}
+		imagePool.free = append(imagePool.free, &Image{data: d, hwm: im.hwm})
+		imagePool.Unlock()
 	}
 }
 
@@ -169,19 +191,32 @@ func (im *Image) Clone() *Image {
 	if c == nil {
 		c = &Image{data: make([]byte, len(im.data))}
 	}
-	c.base = im.base
-	copy(c.data, im.data) // full-length copy: no pre-clearing needed
-	c.hwm = im.hwm
+	c.CopyFrom(im)
 	return c
+}
+
+// CopyFrom makes im a byte-identical copy of src, which must have the
+// same size. Everything past a dirty prefix is zero, so it copies only
+// src's dirty prefix and clears only im's stale bytes beyond it.
+func (im *Image) CopyFrom(src *Image) {
+	if len(im.data) != len(src.data) {
+		panic(fmt.Sprintf("mem: copy of a %d-byte image into a %d-byte one", len(src.data), len(im.data)))
+	}
+	im.base = src.base
+	copy(im.data, src.data[:src.hwm])
+	if im.hwm > src.hwm {
+		clear(im.data[src.hwm:im.hwm])
+	}
+	im.hwm = src.hwm
 }
 
 // BlockSlice returns the image's backing bytes for the cache block
 // containing a, aliasing the image storage (no copy). Callers must not
 // retain the slice across image writes, and must treat it as read-only:
 // mutations have to go through Write/WriteU64/WriteBlock so the dirty
-// prefix used by image recycling stays accurate. It exists for the
-// simulator's per-access hot paths, where the block-sized value copies
-// of ReadBlock/WriteBlock dominated.
+// prefix used by image recycling and copying stays accurate. It exists
+// for the simulator's per-access hot paths, where the block-sized value
+// copies of ReadBlock/WriteBlock dominated.
 func (im *Image) BlockSlice(a Addr) []byte {
 	b := BlockAlign(a)
 	i := im.index(b, BlockSize)

@@ -1,6 +1,10 @@
 package mem
 
 import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -111,16 +115,197 @@ func TestImageBlockOps(t *testing.T) {
 	}
 }
 
-func TestImageClone(t *testing.T) {
-	im := NewImage(0, 256)
-	im.WriteU64(8, 42)
-	c := im.Clone()
-	im.WriteU64(8, 99)
-	if c.ReadU64(8) != 42 {
-		t.Error("clone shares storage with original")
+// pattern returns n bytes derived from tag, none of them zero, so a
+// cleared byte shows.
+func pattern(n uint64, tag byte) []byte {
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = tag + byte(i*7) | 1
 	}
-	if c.Base() != im.Base() || c.Size() != im.Size() {
-		t.Error("clone geometry differs")
+	return p
+}
+
+// fillImage writes pattern(n, tag) at the image base, leaving a dirty
+// prefix of exactly n bytes.
+func fillImage(im *Image, n uint64, tag byte) { im.Write(im.Base(), pattern(n, tag)) }
+
+// TestImageClone covers both copy paths, Clone and the in-place
+// CopyFrom, into fresh and into recycled destinations. A recycled array
+// keeps its old dirty prefix, shorter than, equal to or longer than the
+// source's; the copy must clear whatever of it the source does not
+// overwrite. Every byte up to the larger prefix plus one block must
+// match the source.
+func TestImageClone(t *testing.T) {
+	const pool = imagePoolMin
+	cases := []struct {
+		name    string
+		size    uint64
+		src     uint64 // source dirty prefix
+		stale   uint64 // destination's old dirty prefix; 0 = fresh array
+		inPlace bool   // CopyFrom into an existing image instead of Clone
+	}{
+		{name: "small/clone", size: 256, src: 16},
+		{name: "pool/clone/fresh", size: pool, src: 4096},
+		{name: "pool/clone/stale-shorter", size: pool, src: 4096, stale: 1000},
+		{name: "pool/clone/stale-equal", size: pool, src: 4096, stale: 4096},
+		{name: "pool/clone/stale-longer", size: pool, src: 4096, stale: 70_000},
+		{name: "pool/clone/whole", size: pool, src: pool, stale: 4096},
+		{name: "pool/copy/fresh", size: pool, src: 4096, inPlace: true},
+		{name: "pool/copy/stale-shorter", size: pool, src: 4096, stale: 1000, inPlace: true},
+		{name: "pool/copy/stale-equal", size: pool, src: 4096, stale: 4096, inPlace: true},
+		{name: "pool/copy/stale-longer", size: pool, src: 4096, stale: 70_000, inPlace: true},
+		{name: "pool/copy/unwritten-source", size: pool, src: 0, stale: 70_000, inPlace: true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			// A fresh destination is then a fresh array, and a stale one
+			// is the array staged below.
+			drainPool()
+			src := NewImage(DefaultBase, c.size)
+			defer src.Release()
+			fillImage(src, c.src, 0x10)
+			var dst *Image
+			if c.inPlace {
+				dst = NewImage(DefaultBase, c.size)
+				fillImage(dst, c.stale, 0x80)
+				dst.CopyFrom(src)
+			} else {
+				var staged *byte
+				if c.stale > 0 {
+					// Hand the pool one array dirty through c.stale for
+					// Clone to recycle.
+					old := NewImage(DefaultBase, c.size)
+					fillImage(old, c.stale, 0x80)
+					staged = &old.data[0]
+					old.Release()
+				}
+				dst = src.Clone()
+				if staged != nil && &dst.data[0] != staged {
+					t.Fatal("Clone did not recycle the staged array")
+				}
+			}
+			defer dst.Release()
+			if dst.Base() != src.Base() || dst.Size() != src.Size() || dst.hwm != src.hwm {
+				t.Fatalf("geometry: base %#x size %d prefix %d, want %#x %d %d",
+					uint64(dst.Base()), dst.Size(), dst.hwm, uint64(src.Base()), src.Size(), src.hwm)
+			}
+			end := min(max(c.src, c.stale)+BlockSize, c.size)
+			for i := uint64(0); i < end; i++ {
+				if dst.data[i] != src.data[i] {
+					t.Fatalf("byte %d = %#x, want %#x (source prefix %d, stale prefix %d)",
+						i, dst.data[i], src.data[i], c.src, c.stale)
+				}
+			}
+			// The copy is detached from its source.
+			src.WriteU64(DefaultBase, 99)
+			if c.src >= 8 && dst.ReadU64(DefaultBase) == 99 {
+				t.Error("copy shares storage with its source")
+			}
+		})
+	}
+}
+
+// drainPool empties the recycle pool.
+func drainPool() {
+	imagePool.Lock()
+	imagePool.free = nil
+	imagePool.Unlock()
+}
+
+// TestImagePoolPolicy: a released array goes to the next image of its
+// size even across garbage collections, an array of another size waits
+// for its own, and a full pool (two arrays per P) drops its least
+// recently released array.
+func TestImagePoolPolicy(t *testing.T) {
+	const size = imagePoolMin
+	drainPool()
+	defer drainPool()
+	array := func(im *Image) *byte { return &im.data[0] }
+
+	a := NewImage(DefaultBase, size)
+	a.WriteU64(DefaultBase+size-8, 7)
+	wantA := array(a)
+	a.Release()
+	big := NewImage(DefaultBase, 2*size)
+	wantBig := array(big)
+	big.Release()
+	runtime.GC()
+	runtime.GC()
+	b := NewImage(DefaultBase, size)
+	if array(b) != wantA {
+		t.Error("a released array did not survive two collections")
+	}
+	if b.ReadU64(DefaultBase+size-8) != 0 || b.hwm != 0 {
+		t.Error("recycled image not cleared")
+	}
+	c := NewImage(DefaultBase, 2*size)
+	if array(c) != wantBig {
+		t.Error("the other size's array was not kept for it")
+	}
+	b.Release()
+	c.Release()
+
+	drainPool()
+	ims := make([]*Image, 2*runtime.GOMAXPROCS(0)+1)
+	for i := range ims {
+		ims[i] = NewImage(DefaultBase, size)
+	}
+	wantOldest := array(ims[1])
+	for _, im := range ims {
+		im.Release()
+	}
+	imagePool.Lock()
+	n, oldest := len(imagePool.free), array(imagePool.free[0])
+	imagePool.Unlock()
+	if n != len(ims)-1 {
+		t.Errorf("after %d releases the pool holds %d arrays, want %d", len(ims), n, len(ims)-1)
+	}
+	if oldest != wantOldest {
+		t.Error("a full pool did not drop its least recently released array")
+	}
+}
+
+// TestImagePoolConcurrent cycles images through the shared pool from
+// several goroutines: each writes its own pattern to a prefix of its own
+// length, clones it, copies the clone into an image it dirtied with
+// other bytes, and checks all three before releasing them. A recycled
+// array handed to two owners, or stale bytes surviving a recycle, shows
+// up as another goroutine's pattern.
+func TestImagePoolConcurrent(t *testing.T) {
+	const size, workers, rounds = imagePoolMin, 4, 12
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				tag := byte(16*w + r)
+				n := uint64(1+(w+r)%5) * 8192
+				im := NewImage(DefaultBase, size)
+				fillImage(im, n, tag)
+				c := im.Clone()
+				d := NewImage(DefaultBase, size)
+				fillImage(d, uint64(5-(w+r)%5)*8192, ^tag)
+				d.CopyFrom(c)
+				want := make([]byte, size)
+				copy(want, pattern(n, tag))
+				for i, x := range []*Image{im, c, d} {
+					if !bytes.Equal(x.data, want) || x.hwm != n {
+						errs <- fmt.Errorf("worker %d round %d: image %d differs from its own pattern", w, r, i)
+						return
+					}
+				}
+				im.Release()
+				c.Release()
+				d.Release()
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

@@ -1,8 +1,6 @@
 package pmc
 
 import (
-	"fmt"
-
 	"pmemspec/internal/mem"
 	"pmemspec/internal/metrics"
 	"pmemspec/internal/sim"
@@ -32,7 +30,7 @@ type WPQ struct {
 	completions []sim.Time
 	minDone     sim.Time
 	// blocks holds, per PM block, the media completion of its pending
-	// entry (coalescing) — a flat array indexed by block number, so the
+	// entry (coalescing) — a block table indexed by block number, so the
 	// per-store lookup is a shift instead of a map probe. Zero means "no
 	// live entry" (media completions are always positive). Together with
 	// liveList this reproduces the bounded tracking-table semantics
@@ -41,9 +39,8 @@ type WPQ struct {
 	// for a lagging caller whose `now` still precedes its completion
 	// (Accept tolerates small time inversions, so that case is reachable
 	// and observable).
-	blocks   []sim.Time
+	blocks   mem.BlockTable[sim.Time]
 	liveList []uint32
-	base     mem.Addr
 
 	// Stats
 	Accepts, Coalesced, FullStalls uint64
@@ -65,23 +62,13 @@ type WPQ struct {
 
 // NewWPQ creates a write-pending queue of the given capacity in front of
 // ctrl's media write banks. The queue serves the PM region
-// [base, base+memBytes): its per-block coalescing table is a flat array
+// [base, base+memBytes): its per-block coalescing table is a block table
 // over that window.
 func NewWPQ(ctrl *Controller, capacity int, base mem.Addr, memBytes uint64) *WPQ {
 	if capacity < 1 {
 		panic("pmc: WPQ capacity must be ≥ 1")
 	}
-	nblocks := (memBytes + mem.BlockSize - 1) / mem.BlockSize
-	return &WPQ{cap: capacity, ctrl: ctrl, blocks: make([]sim.Time, nblocks), base: base, minDone: sim.Forever}
-}
-
-// blockIndex maps a block-aligned address into the coalescing table.
-func (w *WPQ) blockIndex(blk mem.Addr) uint64 {
-	i := uint64(blk-w.base) / mem.BlockSize
-	if blk < w.base || i >= uint64(len(w.blocks)) {
-		panic(fmt.Sprintf("pmc: WPQ address %#x outside region [%#x,+%d blocks)", uint64(blk), uint64(w.base), len(w.blocks)))
-	}
-	return i
+	return &WPQ{cap: capacity, ctrl: ctrl, blocks: mem.NewBlockTable[sim.Time]("pmc: WPQ", base, memBytes), minDone: sim.Forever}
 }
 
 // Accept admits a write to blk arriving at the controller at time `now`.
@@ -91,9 +78,9 @@ func (w *WPQ) blockIndex(blk mem.Addr) uint64 {
 // small inversions.
 func (w *WPQ) Accept(now sim.Time, blk mem.Addr) (admit, mediaDone sim.Time) {
 	blk = mem.BlockAlign(blk)
-	bi := w.blockIndex(blk)
+	bi := w.blocks.Block(blk)
 	w.prune(now)
-	if done := w.blocks[bi]; done > now {
+	if done := w.blocks.Get(bi); done > now {
 		// Coalesce with the pending entry: durable immediately, no new
 		// media write.
 		w.Coalesced++
@@ -127,10 +114,11 @@ func (w *WPQ) Accept(now sim.Time, blk mem.Addr) (admit, mediaDone sim.Time) {
 	if mediaDone < w.minDone {
 		w.minDone = mediaDone
 	}
-	if w.blocks[bi] == 0 {
+	e := w.blocks.Ref(bi)
+	if *e == 0 {
 		w.liveList = append(w.liveList, uint32(bi))
 	}
-	w.blocks[bi] = mediaDone
+	*e = mediaDone
 	w.Accepts++
 	if len(w.completions) > w.PeakOccupancy {
 		w.PeakOccupancy = len(w.completions)
@@ -156,8 +144,8 @@ func (w *WPQ) Accept(now sim.Time, blk mem.Addr) (admit, mediaDone sim.Time) {
 func (w *WPQ) pruneBlocks(now sim.Time) {
 	kept := w.liveList[:0]
 	for _, bi := range w.liveList {
-		if w.blocks[bi] <= now {
-			w.blocks[bi] = 0
+		if e := w.blocks.Ref(uint64(bi)); *e <= now {
+			*e = 0
 		} else {
 			kept = append(kept, bi)
 		}
