@@ -152,15 +152,20 @@ go run ./cmd/pmemspec-crash -all -threads 2 -ops 12 -points 2 -maxus 100 \
 	-boundaries -boundary-budget 2 -max-points 5 \
 	-inject-stale-ns 4000 -inject-ooo-ns 7000 -inject-count 3 \
 	-report /tmp/pmemspec-campaign.json
-# The report must be independent of pool width (checked on one cell;
-# the harness suite covers the multi-design case).
+# The report and the metrics grid must be independent of pool width
+# (checked on one cell; the harness suite covers the multi-design case).
+# Each crash point's metrics are a snapshot taken mid-run, inside the
+# cell's one live run, so the grid is compared as well as the report.
 go run ./cmd/pmemspec-crash -workload queue -threads 2 -ops 12 -points 3 -maxus 100 \
 	-boundaries -boundary-budget 2 -inject-stale-ns 4000 -inject-count 3 \
-	-parallel 1 -report /tmp/pmemspec-campaign-p1.json >/dev/null
+	-parallel 1 -report /tmp/pmemspec-campaign-p1.json \
+	-metrics-out /tmp/pmemspec-campaign-metrics-p1.json >/dev/null
 go run ./cmd/pmemspec-crash -workload queue -threads 2 -ops 12 -points 3 -maxus 100 \
 	-boundaries -boundary-budget 2 -inject-stale-ns 4000 -inject-count 3 \
-	-parallel 8 -report /tmp/pmemspec-campaign-p8.json >/dev/null
+	-parallel 8 -report /tmp/pmemspec-campaign-p8.json \
+	-metrics-out /tmp/pmemspec-campaign-metrics-p8.json >/dev/null
 cmp /tmp/pmemspec-campaign-p1.json /tmp/pmemspec-campaign-p8.json
+cmp /tmp/pmemspec-campaign-metrics-p1.json /tmp/pmemspec-campaign-metrics-p8.json
 
 stage metrics-determinism "metrics grid determinism (pool width 1 vs 8)"
 # The observability layer's acceptance check: the (design, workload)

@@ -10,7 +10,9 @@
 // rollback path under every design.
 //
 // Output is deterministic for a fixed configuration, independent of
-// -parallel: trials are keyed by index, and progress goes to stderr.
+// -parallel: each (design, workload) cell is one job on the worker pool
+// — a discovery run, then one live run that captures every crash point —
+// and results are keyed by cell index; progress goes to stderr.
 //
 // Usage:
 //
@@ -56,7 +58,7 @@ func main() {
 		jsonOut    = flag.Bool("json", false, "write the JSON campaign report to stdout instead of the summary")
 		metricsOut = flag.String("metrics-out", "", "write the (design, workload) metrics grid JSON to this file")
 		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof and expvar on this address while running")
-		verbose    = flag.Bool("v", false, "per-trial progress on stderr")
+		verbose    = flag.Bool("v", false, "per-cell progress on stderr")
 	)
 	flag.Parse()
 

@@ -152,18 +152,13 @@ func record(o CrashOutcome) TrialRecord {
 	return t
 }
 
-// RunCampaign executes the campaign on the runner's worker pool in two
-// phases — boundary discovery (one instrumented run per cell, when
-// enabled), then the crash/injection trials — and assembles the report
+// RunCampaign executes the campaign on the runner's worker pool, one job
+// per (design, workload) cell (see sweepCell), and assembles the report
 // in deterministic cell-major, point-minor order. A cell whose boundary
 // discovery fails falls back to its uniform grid and records the
-// discovery failure as an error trial; a trial that fails to run is an
-// error row, never an aborted campaign.
+// discovery failure as an error row ahead of every cell's rows; a point
+// the run fails to reach is an error row, never an aborted campaign.
 func (r *Runner) RunCampaign(cfg CampaignConfig) (CampaignReport, error) {
-	designs := cfg.Designs
-	if designs == nil {
-		designs = machine.Designs
-	}
 	names := cfg.Workloads
 	if names == nil {
 		names = workload.Names()
@@ -179,73 +174,30 @@ func (r *Runner) RunCampaign(cfg CampaignConfig) (CampaignReport, error) {
 	}
 
 	type cell struct {
-		design machine.Design
-		name   string
-		params workload.Params
+		outs         []CrashOutcome
+		discoveryErr error
 	}
-	var cells []cell
-	for _, d := range designs {
-		for _, n := range names {
-			p := cfg.Params
-			if n == "memcached" && p.DataSize < 1024 {
-				p.DataSize = 1024
-			}
-			cells = append(cells, cell{design: d, name: n, params: p})
-		}
-	}
-
-	spec := func(c cell, pt CrashPoint) TrialSpec {
-		return TrialSpec{Design: c.design, Workload: c.name, Params: c.params,
-			Point: pt, Mode: cfg.Mode, Inject: cfg.Inject, Opts: cfg.Opts}
-	}
-
-	// Phase 1: persist-boundary discovery, one instrumented run per cell.
-	discovered := make([][]CrashPoint, len(cells))
-	discoveryErr := make([]error, len(cells))
-	if cfg.Boundaries {
-		jobs := make([]Job[Boundaries], len(cells))
-		for i := range cells {
-			c := cells[i]
-			jobs[i] = Job[Boundaries]{
-				Label: fmt.Sprintf("boundaries: %s / %s", c.design, c.name),
-				Run: func() (Boundaries, error) {
-					return DiscoverBoundaries(spec(c, NoCrash))
-				},
-			}
-		}
-		for i, res := range RunAll(jobs, r.Parallel, r.Progress) {
-			if res.Err != nil {
-				discoveryErr[i] = res.Err
-				continue
-			}
-			discovered[i] = res.Result.Points(cfg.BoundaryBudget)
+	specs := cfg.cellSpecs()
+	jobs := make([]Job[cell], len(specs))
+	for i := range specs {
+		spec := specs[i]
+		jobs[i] = Job[cell]{
+			Label: fmt.Sprintf("crash: %s / %s", spec.Design, spec.Workload),
+			Run: func() (cell, error) {
+				outs, err := cfg.sweepCell(spec, uniform)
+				return cell{outs, err}, nil
+			},
 		}
 	}
-
-	// Phase 2: the trials, cell-major so the report order is stable.
-	var specs []TrialSpec
-	var prefix []TrialRecord
-	for i, c := range cells {
-		if err := discoveryErr[i]; err != nil {
-			t := record(CrashOutcome{Design: c.design, Workload: c.name,
-				CrashAtNS: NoCrash.AtNS, Label: "boundary-discovery", Err: err})
-			prefix = append(prefix, t)
-		}
-		pts := MergePoints(uniform, discovered[i])
-		if cfg.MaxPoints > 0 {
-			pts = Stride(pts, cfg.MaxPoints)
-		}
-		for _, pt := range pts {
-			specs = append(specs, spec(c, pt))
-		}
-		if cfg.Inject.Enabled() {
-			// Run-to-completion trial: injected misspeculations abort
-			// FASEs mid-flight, yet the final image must reflect every
-			// committed operation.
-			specs = append(specs, spec(c, NoCrash))
+	cells := make([]cell, len(specs))
+	for i, res := range RunAll(jobs, r.Parallel, r.Progress) {
+		cells[i] = res.Result
+		if res.Err != nil {
+			// A captured panic: the cell's one row carries it.
+			cells[i].outs = []CrashOutcome{{Design: specs[i].Design, Workload: specs[i].Workload,
+				Label: "cell", Err: res.Err}}
 		}
 	}
-	outs := r.RunTrials(specs)
 
 	rep := CampaignReport{
 		Threads:   cfg.Params.Threads,
@@ -253,10 +205,19 @@ func (r *Runner) RunCampaign(cfg CampaignConfig) (CampaignReport, error) {
 		Seed:      cfg.Params.Seed,
 		Mode:      modeName(cfg.Mode),
 		Injection: cfg.Inject,
-		Trials:    prefix,
 	}
-	for _, o := range outs {
-		rep.Trials = append(rep.Trials, record(o))
+	for i, c := range cells {
+		if c.discoveryErr != nil {
+			rep.Trials = append(rep.Trials, record(CrashOutcome{Design: specs[i].Design,
+				Workload: specs[i].Workload, CrashAtNS: NoCrash.AtNS, Label: "boundary-discovery",
+				Err: c.discoveryErr}))
+		}
+	}
+	for _, c := range cells {
+		for _, o := range c.outs {
+			rep.Trials = append(rep.Trials, record(o))
+			r.Metrics.Add(o.Design.String(), o.Workload, o.Metrics)
+		}
 	}
 	for _, t := range rep.Trials {
 		switch t.Verdict {
@@ -267,6 +228,70 @@ func (r *Runner) RunCampaign(cfg CampaignConfig) (CampaignReport, error) {
 		}
 	}
 	return rep, nil
+}
+
+// cellSpecs returns one trial spec per (design, workload) cell, design-
+// major; the spec's Point is unset.
+func (cfg CampaignConfig) cellSpecs() []TrialSpec {
+	designs := cfg.Designs
+	if designs == nil {
+		designs = machine.Designs
+	}
+	names := cfg.Workloads
+	if names == nil {
+		names = workload.Names()
+	}
+	var specs []TrialSpec
+	for _, d := range designs {
+		for _, n := range names {
+			p := cfg.Params
+			if n == "memcached" && p.DataSize < 1024 {
+				p.DataSize = 1024
+			}
+			specs = append(specs, TrialSpec{Design: d, Workload: n, Params: p,
+				Mode: cfg.Mode, Inject: cfg.Inject, Opts: cfg.Opts})
+		}
+	}
+	return specs
+}
+
+// sweepCell runs one cell of the campaign: a boundary discovery run,
+// when enabled, then one live sweep (runSweep) over the cell's merged
+// crash points. It returns the cell's rows in report order and, if
+// discovery failed, why. The discovery run is the cell's no-crash
+// injection trial, so that row costs no run of its own. spec's
+// workload must exist; every run gets a fresh instance of it.
+func (cfg CampaignConfig) sweepCell(spec TrialSpec, uniform []CrashPoint) ([]CrashOutcome, error) {
+	fresh := func() workload.Workload {
+		w, _ := workload.ByName(spec.Workload)
+		return w
+	}
+	var found []CrashPoint
+	var discovered *CrashOutcome
+	var discoveryErr error
+	if cfg.Boundaries {
+		b, out := discover(spec, fresh())
+		if discoveryErr = discoveryErrOf(out); discoveryErr == nil {
+			found = b.Points(cfg.BoundaryBudget)
+		}
+		discovered = &out
+	}
+	pts := MergePoints(uniform, found)
+	if cfg.MaxPoints > 0 {
+		pts = Stride(pts, cfg.MaxPoints)
+	}
+	// Run-to-completion trial: injected misspeculations abort FASEs
+	// mid-flight, yet the final image must reflect every committed
+	// operation.
+	noCrash := cfg.Inject.Enabled()
+	if noCrash && discovered == nil {
+		pts = append(pts, NoCrash)
+	}
+	outs := runSweep(spec, fresh(), pts, nil)
+	if noCrash && discovered != nil {
+		outs = append(outs, *discovered)
+	}
+	return outs, discoveryErr
 }
 
 // RunCampaign executes cfg on a GOMAXPROCS-wide pool.

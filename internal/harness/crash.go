@@ -3,6 +3,7 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"pmemspec/internal/fatomic"
@@ -66,6 +67,9 @@ type TrialSpec struct {
 	Instrument func(*machine.Machine)
 }
 
+// errSwept stops a sweep's run once its last crash point is captured.
+var errSwept = errors.New("harness: every crash point captured")
+
 // RunTrial executes one trial: run the workload (with synthetic
 // misspeculations injected per the plan), optionally inject a power
 // failure, run the §6 recovery protocol on the surviving persisted
@@ -77,7 +81,7 @@ func RunTrial(spec TrialSpec) (CrashOutcome, error) {
 		return CrashOutcome{Design: spec.Design, Workload: spec.Workload,
 			CrashAtNS: spec.Point.AtNS, Label: spec.Point.Label, Err: err}, err
 	}
-	return runTrial(spec, w, nil)
+	return runTrial(spec, w)
 }
 
 // RunTrialWith executes one trial against a caller-constructed
@@ -85,7 +89,7 @@ func RunTrial(spec TrialSpec) (CrashOutcome, error) {
 // programs at run time, so they are not in the workload name registry;
 // spec.Workload is ignored in favor of w.Name().
 func RunTrialWith(spec TrialSpec, w workload.Workload) (CrashOutcome, error) {
-	return runTrial(spec, w, nil)
+	return runTrial(spec, w)
 }
 
 // RunWithCrash executes the workload, injects a power failure at
@@ -102,15 +106,38 @@ func RunWithCrash(design machine.Design, w workload.Workload, p workload.Params,
 		Point:    CrashPoint{AtNS: crashAtNS, Label: fmt.Sprintf("point@%dns", crashAtNS)},
 		Opts:     opts,
 	}
-	return runTrial(spec, w, nil)
+	return runTrial(spec, w)
 }
 
-// runTrial is the shared trial body. bounds, when non-nil, instruments
-// the machine to record every persist boundary (discovery runs).
-func runTrial(spec TrialSpec, w workload.Workload, bounds *Boundaries) (CrashOutcome, error) {
+// runTrial is a one-point sweep at spec.Point; the error is the
+// outcome's Err.
+func runTrial(spec TrialSpec, w workload.Workload) (CrashOutcome, error) {
+	out := runSweep(spec, w, []CrashPoint{spec.Point}, nil)[0]
+	return out, out.Err
+}
+
+// runSweep is the trial engine. It runs spec's cell once, live and with
+// the injection plan armed, and returns one outcome per point of pts.
+// The points must ascend; a NoCrash point may only come last.
+//
+// A kernel watch at each crash instant captures the point. It records
+// the runtime, injection and metrics counters so far. It then runs §6
+// recovery and the invariant checks on a copy of the persisted image,
+// which is what a power failure there leaves: a crash only discards
+// volatile state. A watch does not perturb dispatch, so each outcome
+// equals that of a run re-simulated to its point and crashed there.
+//
+// The run stops after the last crash point, unless a NoCrash point runs
+// it to completion. If the run fails first, the points it never reached
+// get its error and post-run state, as re-simulated trials would.
+// bounds, when non-nil, records every persist boundary (discovery
+// runs).
+func runSweep(spec TrialSpec, w workload.Workload, pts []CrashPoint, bounds *Boundaries) []CrashOutcome {
 	p := spec.Params
-	out := CrashOutcome{Design: spec.Design, Workload: w.Name(),
-		CrashAtNS: spec.Point.AtNS, Label: spec.Point.Label}
+	outs := make([]CrashOutcome, len(pts))
+	for i, pt := range pts {
+		outs[i] = CrashOutcome{Design: spec.Design, Workload: w.Name(), CrashAtNS: pt.AtNS, Label: pt.Label}
+	}
 	cfg := machine.DefaultConfig(spec.Design, p.Threads)
 	for _, o := range spec.Opts {
 		o(&cfg)
@@ -123,11 +150,13 @@ func runTrial(spec TrialSpec, w workload.Workload, bounds *Boundaries) (CrashOut
 	}
 	m, err := machine.New(cfg)
 	if err != nil {
-		out.Err = err
-		return out, err
+		for i := range outs {
+			outs[i].Err = err
+		}
+		return outs
 	}
-	// Recycle the PM images once the outcome is extracted, so the next
-	// trial's machine clears only their dirty prefixes.
+	// Recycle the PM images once the outcomes are extracted, so the
+	// next run's machine clears only their dirty prefixes.
 	defer m.Release()
 	os := osint.New(m)
 	rt := fatomic.New(m, persist.ForDesign(spec.Design), os, spec.Mode)
@@ -166,48 +195,95 @@ func runTrial(spec TrialSpec, w workload.Workload, bounds *Boundaries) (CrashOut
 			finished++
 		})
 	}
-	spec.Inject.arm(m, os, p.Threads, &out.Injected, func() bool { return finished < p.Threads })
-	if spec.Point.AtNS > 0 {
-		m.ScheduleCrash(sim.NS(spec.Point.AtNS))
+	var injected InjectionStats
+	spec.Inject.arm(m, os, p.Threads, &injected, func() bool { return finished < p.Threads })
+
+	counters := func(o *CrashOutcome) {
+		o.Runtime = rt.Stats
+		o.Injected = injected
+		o.Metrics = runMetrics(m, rt, os)
+	}
+	var img *mem.Image // the run's scratch copy of the persisted image
+	defer func() {
+		if img != nil {
+			img.Release()
+		}
+	}()
+	k := m.Kernel()
+	captured := 0
+	for i := range pts {
+		if pts[i].AtNS <= 0 {
+			break // NoCrash: run to completion
+		}
+		o, at := &outs[i], sim.NS(pts[i].AtNS)
+		k.Watch(at, func() {
+			counters(o)
+			// The run "crashed" only if the power failure interrupted
+			// work: a point past the end finds every worker done.
+			o.Crashed = finished < p.Threads
+			if img == nil {
+				img = m.Space().PM.Clone()
+			} else {
+				img.CopyFrom(m.Space().PM)
+			}
+			o.recoverAndVerify(w, img, m.Space().Arch, p.Threads, o.Crashed && at < setupDone)
+			if captured++; captured == len(pts) {
+				k.Stop(errSwept)
+			}
+		})
 	}
 	err = m.Run()
-	out.Runtime = rt.Stats
-	out.Metrics = runMetrics(m, rt, os)
 	switch {
-	case errors.Is(err, machine.ErrCrashed):
-		// The crash event always fires (possibly after all workers
-		// completed); the run "crashed" only if it interrupted work.
-		out.Crashed = finished < p.Threads
-	case err == nil:
-	default:
-		out.Err = err
-		return out, err
-	}
-	if out.Crashed && sim.NS(spec.Point.AtNS) < setupDone {
-		// Crash during single-threaded setup: the structures may not
-		// exist yet, so only the log protocol is checkable.
-		if _, err := fatomic.Recover(m.Space().PM, p.Threads); err != nil {
-			out.VerifyErr = err
+	case errors.Is(err, errSwept):
+	case err != nil:
+		for i := captured; i < len(outs); i++ {
+			counters(&outs[i])
+			outs[i].Err = err
 		}
-		return out, nil
+	default:
+		// The run completed; only the NoCrash point is left, and the
+		// machine is done, so recovery may work on PM in place.
+		o := &outs[len(outs)-1]
+		counters(o)
+		o.recoverAndVerify(w, m.Space().PM, m.Space().Arch, p.Threads, false)
 	}
-	rep, err := fatomic.Recover(m.Space().PM, p.Threads)
+	return outs
+}
+
+// recoverAndVerify runs the §6 recovery protocol on img, the persisted
+// image at o's instant (which it modifies), and checks the workload's
+// invariants on the result. Violations go to o.VerifyErr; a panic in
+// recovery becomes o.Err. inSetup marks a crash during the
+// single-threaded setup, where the structures may not exist yet, so
+// only the log protocol is checkable.
+func (o *CrashOutcome) recoverAndVerify(w workload.Workload, img, arch *mem.Image, threads int, inSetup bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			o.Err = fmt.Errorf("harness: recovery at %s panicked: %v", o.Label, r)
+		}
+	}()
+	if inSetup {
+		if _, err := fatomic.Recover(img, threads); err != nil {
+			o.VerifyErr = err
+		}
+		return
+	}
+	rep, err := fatomic.Recover(img, threads)
 	if err != nil {
 		// A recovery failure on a recoverable image is itself a
 		// crash-consistency violation, not a harness error.
-		out.VerifyErr = fmt.Errorf("recovery failed: %w", err)
-		return out, nil
+		o.VerifyErr = fmt.Errorf("recovery failed: %w", err)
+		return
 	}
-	out.Recovery = rep
-	out.VerifyErr = safeVerify(w, m.Space().PM, 0)
-	if !out.Crashed && out.VerifyErr == nil {
+	o.Recovery = rep
+	o.VerifyErr = safeVerify(w, img, 0)
+	if !o.Crashed && o.VerifyErr == nil {
 		// The run finished (e.g. the no-crash injection trial): the
 		// coherent image must additionally satisfy the op-count-aware
 		// invariants — injected misspeculations may abort FASEs but must
 		// never lose committed work.
-		out.VerifyErr = safeVerify(w, m.Space().Arch, rt.Stats.FASEs)
+		o.VerifyErr = safeVerify(w, arch, o.Runtime.FASEs)
 	}
-	return out, nil
 }
 
 // safeVerify runs Verify on an image, converting a panic (e.g. a wild
@@ -225,7 +301,7 @@ func safeVerify(w workload.Workload, img *mem.Image, completedOps uint64) (err e
 // UniformPoints returns up to `points` evenly spaced crash instants in
 // (0, maxNS]. Integer division collides when maxNS < points and can
 // yield a zero first point; duplicates and non-positive instants are
-// dropped rather than swept twice (or rejected by ScheduleCrash).
+// dropped rather than swept twice (or read as the no-crash point).
 func UniformPoints(points int, maxNS int64) ([]CrashPoint, error) {
 	if points < 1 {
 		return nil, fmt.Errorf("harness: need at least one crash point")
@@ -273,16 +349,29 @@ func DiscoverBoundaries(spec TrialSpec) (Boundaries, error) {
 // DiscoverBoundariesFor is DiscoverBoundaries against a
 // caller-constructed workload instance (see RunTrialWith).
 func DiscoverBoundariesFor(spec TrialSpec, w workload.Workload) (Boundaries, error) {
+	b, out := discover(spec, w)
+	return b, discoveryErrOf(out)
+}
+
+// discover runs spec's cell to completion on an instrumented machine.
+// The boundary observers only append, so the run is the cell's no-crash
+// trial, and its outcome is that trial's.
+func discover(spec TrialSpec, w workload.Workload) (Boundaries, CrashOutcome) {
 	var b Boundaries
-	spec.Point = NoCrash
-	out, err := runTrial(spec, w, &b)
-	if err != nil {
-		return b, err
+	out := runSweep(spec, w, []CrashPoint{NoCrash}, &b)[0]
+	return b, out
+}
+
+// discoveryErrOf is why a discovery run's boundaries are unusable: the
+// run failed, or its final image failed verification.
+func discoveryErrOf(out CrashOutcome) error {
+	if out.Err != nil {
+		return out.Err
 	}
 	if out.VerifyErr != nil {
-		return b, fmt.Errorf("boundary discovery run failed verification: %w", out.VerifyErr)
+		return fmt.Errorf("boundary discovery run failed verification: %w", out.VerifyErr)
 	}
-	return b, nil
+	return nil
 }
 
 // Points converts the discovered boundaries into labeled crash points:
@@ -326,18 +415,11 @@ func (b Boundaries) Points(budget int) []CrashPoint {
 // dedupSortedNS sorts and deduplicates boundary instants, dropping
 // non-positive ones.
 func dedupSortedNS(ts []int64) []int64 {
-	s := append([]int64(nil), ts...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	out := s[:0]
-	last := int64(0)
-	for _, t := range s {
-		if t <= 0 || t == last {
-			continue
-		}
-		last = t
-		out = append(out, t)
-	}
-	return out
+	s := slices.Clone(ts)
+	slices.Sort(s)
+	s = slices.Compact(s)
+	i, _ := slices.BinarySearch(s, 1)
+	return s[i:]
 }
 
 // Stride deterministically keeps at most n elements of xs (none when
@@ -381,63 +463,30 @@ func MergePoints(lists ...[]CrashPoint) []CrashPoint {
 	return out
 }
 
-// RunTrials executes the trials on the harness worker pool and returns
-// their outcomes indexed exactly like specs. A trial that fails to run
-// (error or captured panic) is recorded as a failed outcome (Err set)
-// rather than aborting the batch, so one broken point cannot hide the
-// rest of the sweep.
-func (r *Runner) RunTrials(specs []TrialSpec) []CrashOutcome {
-	jobs := make([]Job[CrashOutcome], len(specs))
-	for i := range specs {
-		spec := specs[i]
-		jobs[i] = Job[CrashOutcome]{
-			Label: fmt.Sprintf("crash: %s / %s / %s", spec.Design, spec.Workload, spec.Point.Label),
-			Run:   func() (CrashOutcome, error) { return RunTrial(spec) },
-		}
-	}
-	results := RunAll(jobs, r.Parallel, r.Progress)
-	outs := make([]CrashOutcome, len(specs))
-	for i := range results {
-		outs[i] = results[i].Result
-		if results[i].Err != nil {
-			// Captured panics leave a zero Result; re-stamp the trial's
-			// identity so the report row still names the failing point.
-			if outs[i].Workload == "" {
-				outs[i].Design = specs[i].Design
-				outs[i].Workload = specs[i].Workload
-				outs[i].CrashAtNS = specs[i].Point.AtNS
-				outs[i].Label = specs[i].Point.Label
-			}
-			outs[i].Err = results[i].Err
-		}
-		if r.Metrics != nil {
-			r.Metrics.Add(outs[i].Design.String(), outs[i].Workload, outs[i].Metrics)
-		}
-	}
-	return outs
-}
-
-// CrashSweep runs RunWithCrash at deduplicated, evenly spaced crash
-// points on the runner's worker pool and reports the outcomes, indexed
-// by point; any VerifyErr is a crash-consistency violation and any Err
-// is a trial that failed to run.
+// CrashSweep runs one live sweep of the cell over deduplicated, evenly
+// spaced crash points and reports the outcomes, indexed by point; any
+// VerifyErr is a crash-consistency violation and any Err is a point the
+// run failed to reach.
 func (r *Runner) CrashSweep(design machine.Design, name string, p workload.Params, points int, maxNS int64, opts ...Option) ([]CrashOutcome, error) {
 	pts, err := UniformPoints(points, maxNS)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := workload.ByName(name); err != nil {
+	w, err := workload.ByName(name)
+	if err != nil {
 		return nil, err
 	}
-	specs := make([]TrialSpec, len(pts))
-	for i, pt := range pts {
-		specs[i] = TrialSpec{Design: design, Workload: name, Params: p, Point: pt, Opts: opts}
+	if r.Progress != nil {
+		r.Progress(fmt.Sprintf("crash: %s / %s", design, name))
 	}
-	return r.RunTrials(specs), nil
+	outs := runSweep(TrialSpec{Design: design, Workload: name, Params: p, Opts: opts}, w, pts, nil)
+	for _, o := range outs {
+		r.Metrics.Add(o.Design.String(), o.Workload, o.Metrics)
+	}
+	return outs, nil
 }
 
-// CrashSweep is the package-level convenience: the sweep runs on a
-// GOMAXPROCS-wide pool with deterministic, index-keyed output.
+// CrashSweep is the package-level convenience on a default Runner.
 func CrashSweep(design machine.Design, name string, p workload.Params, points int, maxNS int64, opts ...Option) ([]CrashOutcome, error) {
 	return (&Runner{}).CrashSweep(design, name, p, points, maxNS, opts...)
 }

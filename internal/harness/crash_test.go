@@ -170,41 +170,38 @@ func TestUniformPoints(t *testing.T) {
 	}
 }
 
-// TestRunTrialsRecordsErrors: one broken trial must be recorded as a
-// failed outcome, not abort the batch (the sweep keeps sweeping).
+// TestRunTrialsRecordsErrors: a trial that cannot run returns its
+// error in an outcome that keeps the trial's identity, so a report row
+// still names the failing point, and the next trial runs normally.
 func TestRunTrialsRecordsErrors(t *testing.T) {
-	specs := []TrialSpec{
-		{Design: machine.PMEMSpec, Workload: "no-such-workload",
-			Params: workload.Params{Threads: 1, Ops: 2, DataSize: 64, Seed: 1},
-			Point:  CrashPoint{AtNS: 1000, Label: "uniform@1000ns"}},
-		{Design: machine.PMEMSpec, Workload: "arrayswap",
-			Params: workload.Params{Threads: 1, Ops: 2, DataSize: 64, Seed: 1},
-			Point:  NoCrash},
-	}
-	outs := (&Runner{Parallel: 1}).RunTrials(specs)
-	if len(outs) != 2 {
-		t.Fatalf("got %d outcomes, want 2", len(outs))
-	}
-	if outs[0].Err == nil {
+	broken := TrialSpec{Design: machine.PMEMSpec, Workload: "no-such-workload",
+		Params: workload.Params{Threads: 1, Ops: 2, DataSize: 64, Seed: 1},
+		Point:  CrashPoint{AtNS: 1000, Label: "uniform@1000ns"}}
+	out, err := RunTrial(broken)
+	if err == nil || out.Err == nil {
 		t.Error("broken trial did not record its error")
 	}
-	if outs[0].Workload != "no-such-workload" || outs[0].Label != "uniform@1000ns" {
-		t.Errorf("failed outcome lost its identity: %+v", outs[0])
+	if out.Workload != "no-such-workload" || out.Label != "uniform@1000ns" {
+		t.Errorf("failed outcome lost its identity: %+v", out)
 	}
-	if outs[1].Err != nil || outs[1].VerifyErr != nil {
-		t.Errorf("healthy trial after a broken one: err=%v verify=%v", outs[1].Err, outs[1].VerifyErr)
+	healthy := TrialSpec{Design: machine.PMEMSpec, Workload: "arrayswap",
+		Params: workload.Params{Threads: 1, Ops: 2, DataSize: 64, Seed: 1},
+		Point:  NoCrash}
+	if out, err := RunTrial(healthy); err != nil || out.VerifyErr != nil {
+		t.Errorf("healthy trial after a broken one: err=%v verify=%v", err, out.VerifyErr)
 	}
 }
 
-// TestRecycledImagesLeakNoState: every trial releases its machine, so
-// the next trial's PM images are recycled arrays that still hold the
-// previous run's bytes until cleared. On a one-worker pool, a small
-// crash trial (queue, mid-run crash with injection, so recovery reads
-// the logs) run after a large-footprint one (tpcc) must reproduce its
-// outcome as the first trial, metrics included. The tpcc trial crashes
-// on IntelX86, so its two images differ wherever it had not flushed: a
-// stale byte leaking into queue's images turns a PMEM-Spec fetch of a
-// fresh block into a stale one, which moves the metrics.
+// TestRecycledImagesLeakNoState: every trial releases its machine and
+// its scratch copy of PM, so the next trial's images are recycled
+// arrays that still hold the previous run's bytes until cleared. Run
+// one after another, a small crash trial (queue, mid-run crash with
+// injection, so recovery reads the logs) run after a large-footprint
+// one (tpcc) must reproduce its outcome as the first trial, metrics
+// included. The tpcc trial crashes on IntelX86, so its two images
+// differ wherever it had not flushed: a stale byte leaking into queue's
+// images turns a PMEM-Spec fetch of a fresh block into a stale one,
+// which moves the metrics.
 func TestRecycledImagesLeakNoState(t *testing.T) {
 	queue := TrialSpec{Design: machine.PMEMSpec, Workload: "queue",
 		Params: params("queue", 2, 40, 7),
@@ -212,9 +209,16 @@ func TestRecycledImagesLeakNoState(t *testing.T) {
 		Inject: InjectionPlan{StalePeriodNS: 3_000, OOOPeriodNS: 5_000}}
 	tpcc := TrialSpec{Design: machine.IntelX86, Workload: "tpcc",
 		Params: params("tpcc", 4, 100, 7), Point: CrashPoint{AtNS: 200_000, Label: "early"}}
-	r := &Runner{Parallel: 1}
-	first := r.RunTrials([]TrialSpec{queue, tpcc})
-	after := r.RunTrials([]TrialSpec{tpcc, queue})
+	run := func(specs ...TrialSpec) []CrashOutcome {
+		var outs []CrashOutcome
+		for _, s := range specs {
+			o, _ := RunTrial(s)
+			outs = append(outs, o)
+		}
+		return outs
+	}
+	first := run(queue, tpcc)
+	after := run(tpcc, queue)
 	for _, o := range append(first, after...) {
 		if o.Err != nil || o.VerifyErr != nil || !o.Crashed {
 			t.Fatalf("%s trial: err=%v verify=%v crashed=%v", o.Workload, o.Err, o.VerifyErr, o.Crashed)

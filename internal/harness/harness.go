@@ -72,12 +72,12 @@ func WithTimeline() Option {
 }
 
 // WithCancel wires cooperative cancellation into the run: cancel is
-// polled from a kernel watcher event every ~50 µs of simulated time,
-// and when it reports true the run stops and returns
-// machine.ErrCanceled. The callback may read cross-goroutine state
-// (an atomic flag, a context's Err); the serve layer uses this for
-// per-job timeouts and client cancellation. Uncancelled runs produce
-// byte-identical results with or without the option.
+// polled from a kernel watch every ~50 µs of simulated time, and when
+// it reports true the run stops and returns machine.ErrCanceled. The
+// callback may read cross-goroutine state (an atomic flag, a context's
+// Err); the serve layer uses this for per-job timeouts and client
+// cancellation. Uncancelled runs produce byte-identical results with or
+// without the option.
 func WithCancel(cancel func() bool) Option {
 	return func(c *machine.Config) { c.Cancel = cancel }
 }
@@ -141,9 +141,9 @@ func execute(m *machine.Machine, rt *fatomic.Runtime, env *workload.Env, w workl
 	return res, nil
 }
 
-// runMetrics assembles one run's merged observability snapshot: the
-// machine's component publish (memoized in the machine) plus the
-// failure-atomic runtime's counters and, when wired, the OS relay's.
+// runMetrics assembles one run's merged observability snapshot so far:
+// the machine's components plus the failure-atomic runtime's counters
+// and, when wired, the OS relay's.
 func runMetrics(m *machine.Machine, rt *fatomic.Runtime, os *osint.OS) metrics.Snapshot {
 	reg := metrics.NewRegistry()
 	publishRuntime(reg, rt.Stats)

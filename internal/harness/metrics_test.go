@@ -101,16 +101,15 @@ func TestTimelineTraceDeterministic(t *testing.T) {
 	}
 }
 
-// TestCrashTrialMetrics: a crash trial publishes its snapshot even when
-// the run is interrupted by the power failure.
+// TestCrashTrialMetrics: a crash point publishes its snapshot, taken
+// mid-run at the crash instant, and the sweep adds it to the runner's
+// metrics grid.
 func TestCrashTrialMetrics(t *testing.T) {
 	r := &Runner{Metrics: metrics.NewGrid()}
-	outs := r.RunTrials([]TrialSpec{{
-		Design:   machine.PMEMSpec,
-		Workload: "queue",
-		Params:   params("queue", 2, 40, 7),
-		Point:    CrashPoint{AtNS: 4000, Label: "mid"},
-	}})
+	outs, err := r.CrashSweep(machine.PMEMSpec, "queue", params("queue", 2, 40, 7), 1, 4000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if outs[0].Err != nil {
 		t.Fatal(outs[0].Err)
 	}

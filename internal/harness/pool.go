@@ -14,8 +14,7 @@ import (
 // share no simulation state — and results are keyed by job index, never
 // by completion order, so the output is byte-identical at any worker
 // count. The pool is generic over the job's result type: benchmark jobs
-// produce Result, crash-campaign jobs produce CrashOutcome, boundary
-// discovery produces Boundaries.
+// produce Result, crash-campaign jobs one cell's outcomes.
 
 // Job is one independent experiment run producing a T.
 type Job[T any] struct {

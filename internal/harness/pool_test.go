@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -231,34 +232,51 @@ func TestPoolRunsSubmittedJobs(t *testing.T) {
 
 // TestRunWithCancel: a run whose Cancel callback fires stops with
 // machine.ErrCanceled, and an armed-but-never-firing Cancel leaves the
-// result byte-identical to a run without one (the watcher events carry
-// no simulation effects).
+// result byte-identical to a run without one. The poll is a kernel
+// watch: as a kernel event it made a thread crossing a poll instant
+// yield, which reorders threads tied at that clock — at a 1000-cycle
+// period that moved DPO/tpcc's kernel time.
 func TestRunWithCancel(t *testing.T) {
-	w, err := workload.ByName("queue")
-	if err != nil {
-		t.Fatal(err)
+	fastPoll := func(c *machine.Config) { c.CancelPollCycles = 1000 }
+	cases := []struct {
+		name     string
+		design   machine.Design
+		workload string
+		p        workload.Params
+		opts     []Option
+	}{
+		{"PMEM-Spec/queue", machine.PMEMSpec, "queue", workload.DefaultParams(2), nil},
+		{"DPO/tpcc/poll-1000", machine.DPO, "tpcc", params("tpcc", 4, 100, 1), []Option{fastPoll}},
 	}
-	p := workload.DefaultParams(2)
-	_, err = Run(machine.PMEMSpec, w, p, WithCancel(func() bool { return true }))
-	if !errors.Is(err, machine.ErrCanceled) {
-		t.Fatalf("Run with firing cancel = %v, want ErrCanceled", err)
-	}
-
-	plain, err := Run(machine.PMEMSpec, w, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2, _ := workload.ByName("queue")
-	armed, err := Run(machine.PMEMSpec, w2, p, WithCancel(func() bool { return false }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Committed != armed.Committed || plain.KernelTime != armed.KernelTime {
-		t.Fatalf("armed cancel perturbed the run: %+v vs %+v", plain, armed)
-	}
-	pj, _ := json.Marshal(plain.Metrics)
-	aj, _ := json.Marshal(armed.Metrics)
-	if !bytes.Equal(pj, aj) {
-		t.Fatal("armed cancel perturbed the metrics snapshot")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(opts ...Option) (Result, error) {
+				w, err := workload.ByName(tc.workload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return Run(tc.design, w, tc.p, append(slices.Clone(tc.opts), opts...)...)
+			}
+			if _, err := run(WithCancel(func() bool { return true })); !errors.Is(err, machine.ErrCanceled) {
+				t.Fatalf("Run with firing cancel = %v, want ErrCanceled", err)
+			}
+			plain, err := run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			armed, err := run(WithCancel(func() bool { return false }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plain.Committed != armed.Committed || plain.KernelTime != armed.KernelTime {
+				t.Fatalf("armed cancel perturbed the run: committed %d vs %d, kernel time %d vs %d",
+					plain.Committed, armed.Committed, plain.KernelTime, armed.KernelTime)
+			}
+			pj, _ := json.Marshal(plain.Metrics)
+			aj, _ := json.Marshal(armed.Metrics)
+			if !bytes.Equal(pj, aj) {
+				t.Fatal("armed cancel perturbed the metrics snapshot")
+			}
+		})
 	}
 }

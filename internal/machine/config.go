@@ -134,16 +134,17 @@ type Config struct {
 	// event, which the big experiment grids don't want.
 	Timeline bool
 
-	// Cancel, when non-nil, is polled by a self-rescheduling kernel
-	// event every CancelPollCycles of simulated time; when it returns
-	// true the kernel stops and Run returns ErrCanceled. The callback
-	// runs on the simulation goroutine but may read state written by
-	// other host goroutines (an atomic flag, a context's Err) — this is
-	// how a long-running service stops an in-flight run it no longer
-	// wants. The watcher events carry no simulation effects, so results
-	// of uncancelled runs are byte-identical with and without a Cancel.
+	// Cancel, when non-nil, is polled by a self-re-registering kernel
+	// watch (sim.Kernel.Watch) every CancelPollCycles of simulated time;
+	// when it returns true the kernel stops and Run returns ErrCanceled.
+	// The callback runs on the simulation goroutine but may read state
+	// written by other host goroutines (an atomic flag, a context's
+	// Err) — this is how a long-running service stops an in-flight run
+	// it no longer wants. A watch never perturbs dispatch, so results
+	// of uncancelled runs are byte-identical with and without a Cancel,
+	// at any poll period.
 	Cancel func() bool
-	// CancelPollCycles is the watcher period (0: DefaultCancelPoll).
+	// CancelPollCycles is the poll period (0: DefaultCancelPoll).
 	CancelPollCycles sim.Time
 }
 

@@ -122,14 +122,12 @@ type Machine struct {
 	stats Stats
 
 	// Observability: the metrics registry holds the machine's live
-	// instruments (occupancy histograms) and, at MetricsSnapshot time,
-	// the published end-of-run component stats. tl is nil unless
-	// Config.Timeline; barriersPerCore counts durability-barrier
-	// completions per core.
+	// instruments (occupancy histograms); MetricsSnapshot adds the
+	// component stats. tl is nil unless Config.Timeline;
+	// barriersPerCore counts durability-barrier completions per core.
 	reg             *metrics.Registry
 	tl              *metrics.Timeline
 	barriersPerCore []uint64
-	metricsSnap     metrics.Snapshot
 }
 
 // New builds a machine for the given configuration.
@@ -238,9 +236,11 @@ func New(cfg Config) (*Machine, error) {
 		if poll <= 0 {
 			poll = DefaultCancelPoll
 		}
-		// Self-rescheduling watcher: the poll runs on the kernel
-		// goroutine, so Stop is race-free; the event itself has no
-		// simulation effects and leaves uncancelled results unchanged.
+		// A self-re-registering kernel watch: it runs on the kernel
+		// goroutine, so Stop is race-free, and a watch never perturbs
+		// dispatch (an event could reorder threads at a clock tie), so
+		// uncancelled results are unchanged.
+		next := poll
 		var watch func()
 		watch = func() {
 			if cfg.Cancel() {
@@ -248,11 +248,12 @@ func New(cfg Config) (*Machine, error) {
 				return
 			}
 			if !m.kernel.AnyLive() {
-				return // simulation over: don't keep the event queue alive
+				return // simulation over
 			}
-			m.kernel.Schedule(m.kernel.Now()+poll, watch)
+			next += poll
+			m.kernel.Watch(next, watch)
 		}
-		m.kernel.Schedule(poll, watch)
+		m.kernel.Watch(poll, watch)
 	}
 	return m, nil
 }

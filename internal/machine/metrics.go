@@ -20,15 +20,13 @@ func occupancyBounds(capacity int) []int64 {
 // was configured with Config.Timeline.
 func (m *Machine) Timeline() *metrics.Timeline { return m.tl }
 
-// MetricsSnapshot publishes every component's end-of-run statistics into
-// the machine's registry and returns its stable-sorted snapshot. The
-// publish happens once; later calls return the memoized snapshot, so
-// live counters (Stats fields) are never double-published.
+// MetricsSnapshot returns the machine's stable-sorted metrics: every
+// component's statistics so far, published into a fresh registry and
+// merged with the live instruments. It may be called at any point of a
+// run, any number of times — the crash campaign snapshots each crash
+// instant of one live run.
 func (m *Machine) MetricsSnapshot() metrics.Snapshot {
-	if m.metricsSnap != nil {
-		return m.metricsSnap
-	}
-	r := m.reg
+	r := metrics.NewRegistry()
 	for _, q := range m.wpqs {
 		q.Publish(r)
 	}
@@ -42,8 +40,7 @@ func (m *Machine) MetricsSnapshot() metrics.Snapshot {
 		b.Publish(r)
 	}
 	m.publishStats(r)
-	m.metricsSnap = r.Snapshot()
-	return m.metricsSnap
+	return metrics.Merge(m.reg.Snapshot(), r.Snapshot())
 }
 
 // publishStats copies the machine-level Stats into the registry under

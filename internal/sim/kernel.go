@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -28,6 +29,17 @@ type Kernel struct {
 
 	sched        SchedulerFunc // controlled-scheduler mode; nil = (clock, id) dispatch
 	readyScratch []*Thread     // reused view passed to sched
+
+	watches []watch // pending Watch observations, sorted by (at, seq)
+}
+
+// watch is one pending Watch registration. It shares the event (At,
+// seq) order but is kept apart from the event queue, so nothing that
+// inspects events (mustYield, TryInlineEvent, EventsPending) sees it.
+type watch struct {
+	at  Time
+	seq uint64
+	fn  func()
 }
 
 // NewKernel returns an empty kernel at time zero.
@@ -48,6 +60,85 @@ func (k *Kernel) Schedule(at Time, fn func()) *Event {
 	k.seq++
 	k.events.push(e)
 	return e
+}
+
+// Watch registers fn to observe the simulation at time at without
+// taking part in it. fn runs exactly where an event registered at this
+// moment would fire: in (At, seq) order among events, before any
+// thread whose clock is ≥ at resumes. Unlike an event, a watch is
+// invisible to dispatch. An event at `at` makes a thread that crosses
+// `at` yield, and the yield re-dispatches threads by (clock, id), which
+// can reorder two threads at the same clock; a running thread otherwise
+// keeps the CPU through clock ties. A watch instead fires inline when
+// it is the only thing due — inside the running thread as its clock
+// crosses `at` (Advance, TryInlineEvent, FinishInlineEvent) — and from
+// the dispatch loop otherwise. Watches still pending when nothing is
+// left to dispatch fire before Run returns or reports a deadlock. So a
+// run with watches dispatches exactly as the same run without them.
+//
+// fn may read any simulation state, register further watches (in any
+// order: registration is a sorted insert), and call Stop, after which
+// the running thread, if any, yields at once. It must not change
+// simulation state: no events, no wakes, no stores. A watch never
+// moves Now. Controlled-scheduler mode (SetScheduler) honors watches by
+// the same rules; they are never offered to the scheduler.
+func (k *Kernel) Watch(at Time, fn func()) {
+	w := watch{at: at, seq: k.seq, fn: fn}
+	k.seq++
+	// w has the largest seq so far: it goes after every watch at ≤ at.
+	i := sort.Search(len(k.watches), func(i int) bool { return k.watches[i].at > at })
+	k.watches = slices.Insert(k.watches, i, w)
+}
+
+// watchDue reports whether the earliest watch fires before both e, the
+// earliest live event, and t, the next thread to step: it precedes e in
+// (At, seq) order and is due no later than t's clock. With neither left
+// (both nil) the answer is false; Run's end-of-dispatch drain takes
+// over.
+func (k *Kernel) watchDue(e *Event, t *Thread) bool {
+	w := &k.watches[0]
+	if t != nil && w.at > t.clock {
+		return false
+	}
+	if e == nil {
+		return t != nil
+	}
+	return w.at < e.At || (w.at == e.At && w.seq < e.seq)
+}
+
+// fireWatch pops and runs the earliest pending watch.
+func (k *Kernel) fireWatch() {
+	w := k.watches[0]
+	k.watches[0] = watch{}
+	k.watches = k.watches[1:]
+	w.fn()
+}
+
+// observeInline fires, from inside the running thread, the watches due
+// at or before c — the thread's new clock, which no event and no other
+// thread precedes. It reports whether a watch stopped the run, in which
+// case the thread must yield at once.
+func (k *Kernel) observeInline(c Time) bool {
+	for k.running && len(k.watches) > 0 && k.watches[0].at <= c {
+		k.fireWatch()
+	}
+	return !k.running
+}
+
+// drainWatches fires, in order, the watches pending when nothing is left
+// to dispatch. Watches they register stay pending and do not fire: a
+// watch that re-registers itself while threads are live (the machine's
+// cancellation poll during a deadlock) would otherwise never let Run
+// return.
+func (k *Kernel) drainWatches() {
+	pending := k.watches
+	k.watches = nil
+	for _, w := range pending {
+		if !k.running {
+			return
+		}
+		w.fn()
+	}
 }
 
 // Handler receives callbacks from events scheduled with ScheduleHandler.
@@ -160,7 +251,8 @@ func (k *Kernel) SetScheduler(pick SchedulerFunc) { k.sched = pick }
 
 // EventsPending reports whether any live event is queued. Controlled
 // schedulers use it to decide between declining (drain hardware events)
-// and declaring themselves stuck.
+// and declaring themselves stuck. Pending watches do not count: they are
+// observations, not events.
 func (k *Kernel) EventsPending() bool { return k.nextEvent() != nil }
 
 // readyView rebuilds the scratch slice of runnable threads in creation
@@ -176,10 +268,11 @@ func (k *Kernel) readyView() []*Thread {
 }
 
 // Stop aborts the run: after the currently dispatched entity yields, Run
-// returns err (which may be nil). The first stop reason wins — later
-// Stop calls and thread panics cannot overwrite it. Remaining threads are
-// abandoned: their coroutines are aborted and unwind via a panic the
-// vehicle epilogue swallows.
+// returns err (which may be nil). A Stop from a watch that fired inside
+// a running thread makes that thread yield at once. The first stop
+// reason wins — later Stop calls and thread panics cannot overwrite it.
+// Remaining threads are abandoned: their coroutines are aborted and
+// unwind via a panic the vehicle epilogue swallows.
 func (k *Kernel) Stop(err error) {
 	k.running = false
 	if !k.stopped {
@@ -195,6 +288,7 @@ type errKernelStopped struct{}
 // event queue is empty, or Stop is called, or no progress is possible.
 // It returns an error if the simulation deadlocks (all remaining threads
 // blocked with no pending events) or if Stop was called with an error.
+// Watches still pending when nothing is left to dispatch fire first.
 func (k *Kernel) Run() error {
 	k.running = true
 	k.stopped = false
@@ -205,6 +299,10 @@ func (k *Kernel) Run() error {
 		// controlled-scheduler mode, the thread the scheduler picks).
 		t := k.ready.peek()
 		e := k.nextEvent()
+		if len(k.watches) > 0 && k.watchDue(e, t) {
+			k.fireWatch()
+			continue
+		}
 		switch {
 		case e != nil && (t == nil || e.At <= t.clock):
 			k.fire(e)
@@ -219,15 +317,15 @@ func (k *Kernel) Run() error {
 				k.readyRemove(t)
 			}
 		default:
-			if k.anyLive() {
-				k.running = false
-				if !k.stopped {
-					k.stopped = true
-					k.stopErr = k.deadlockError()
-				}
-				break
+			k.drainWatches()
+			if !k.running {
+				break // a watch stopped the run
 			}
 			k.running = false
+			if k.anyLive() && !k.stopped {
+				k.stopped = true
+				k.stopErr = k.deadlockError()
+			}
 		}
 	}
 	k.releaseAbandoned()
@@ -277,10 +375,15 @@ func (k *Kernel) stepControlled(t *Thread, e *Event) {
 		c.clock = k.now
 		k.readyFix(c)
 	}
-	// Events due at or before the pick's (possibly warped) clock would
-	// precede its step under timestamp dispatch; fire them first.
+	// Events and watches due at or before the pick's (possibly warped)
+	// clock would precede its step under timestamp dispatch; fire them
+	// first, in (At, seq) order.
 	for k.running {
 		ev := k.nextEvent()
+		if len(k.watches) > 0 && k.watchDue(ev, c) {
+			k.fireWatch()
+			continue
+		}
 		if ev == nil || ev.At > c.clock {
 			break
 		}
@@ -328,10 +431,8 @@ func (k *Kernel) anyLive() bool {
 }
 
 // AnyLive reports whether any spawned thread has not yet finished.
-// Self-rescheduling watcher events (the machine's cancellation poll)
-// use it to stop re-arming once the simulation proper is over — a
-// perpetual event would keep the queue non-empty and Run would never
-// return.
+// Self-re-registering watches (the machine's cancellation poll) use it
+// to stop re-arming once the simulation proper is over.
 func (k *Kernel) AnyLive() bool { return k.anyLive() }
 
 func (k *Kernel) deadlockError() error {
@@ -365,12 +466,18 @@ func (k *Kernel) releaseAbandoned() {
 // break ahead of threads, so an event at exactly c also forces a yield).
 // The ready heap makes this O(1): if t itself is the heap minimum, every
 // other runnable thread is at (clock, id) ≥ t's and none can be due.
+//
+// When only watches are due, they fire inline and the thread keeps
+// running (a yield could reorder it against a thread at the same clock);
+// it yields only if a watch stopped the run.
 func (k *Kernel) mustYield(t *Thread, c Time) bool {
 	if e := k.nextEvent(); e != nil && e.At <= c {
 		return true
 	}
-	r := k.ready.peek()
-	return r != nil && r != t && r.clock < c
+	if r := k.ready.peek(); r != nil && r != t && r.clock < c {
+		return true
+	}
+	return len(k.watches) > 0 && k.watches[0].at <= c && k.observeInline(c)
 }
 
 // readyAdd marks t runnable in the scheduler index.

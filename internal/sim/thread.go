@@ -98,8 +98,9 @@ func (t *Thread) StepBlock(reason string) {
 // the event had fired; the caller must run its handler body immediately
 // and then call FinishInlineEvent with the time it would have passed to
 // Wake. On failure nothing changes and the caller schedules + blocks as
-// usual. Only blocking-style bodies may use this (explicit Coro state
-// machines yield by returning effects).
+// usual. Watches due by `at` fire before it returns true. Only
+// blocking-style bodies may use this (explicit Coro state machines
+// yield by returning effects).
 func (t *Thread) TryInlineEvent(at Time) bool {
 	k := t.kernel
 	if at < t.clock {
@@ -116,6 +117,11 @@ func (t *Thread) TryInlineEvent(at Time) bool {
 	k.readyFix(t)
 	if k.ready.peek().clock >= at {
 		k.now = at
+		// Watches due by `at` would fire before the event; fire them
+		// now that the inline path is certain.
+		if len(k.watches) > 0 && k.watches[0].at <= at && k.observeInline(at) {
+			t.checkpoint(Effect{Kind: EffectAdvance})
+		}
 		return true
 	}
 	t.clock = saved
@@ -128,13 +134,15 @@ func (t *Thread) TryInlineEvent(at Time) bool {
 // and, if the kernel must dispatch something else first — an event due
 // at or before `ready`, or a runnable thread preceding (ready, t.id) —
 // the thread yields so global dispatch order is preserved exactly.
+// Watches due by then fire inline when nothing else is due.
 func (t *Thread) FinishInlineEvent(ready Time) {
 	k := t.kernel
 	if ready > t.clock {
 		t.clock = ready
 	}
 	k.readyFix(t)
-	if e := k.nextEvent(); (e != nil && e.At <= t.clock) || k.ready.peek() != t {
+	if e := k.nextEvent(); (e != nil && e.At <= t.clock) || k.ready.peek() != t ||
+		len(k.watches) > 0 && k.watches[0].at <= t.clock && k.observeInline(t.clock) {
 		t.checkpoint(Effect{Kind: EffectAdvance})
 		return
 	}
