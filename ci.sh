@@ -132,16 +132,16 @@ if ! awk -v c="$coverage" -v f="$floor" 'BEGIN { exit !(c+0 >= f+0) }'; then
 	exit 1
 fi
 
-stage race "go test -race $short ./internal/harness/... ./internal/sim/... ./internal/serve/... ./internal/mem/... ./internal/mc/..."
+stage race "go test -race $short ./internal/harness/... ./internal/sim/... ./internal/serve/... ./internal/mem/... ./internal/cache/... ./internal/mc/..."
 # -timeout raised above the go default: the race detector is ~10x and
 # the harness sweeps are minutes-long even unraced on small hosts.
 # internal/serve joins the race pass because it is the other place
 # host-level concurrency lives (HTTP handlers racing the job
-# dispatchers and the result cache). internal/mem and internal/mc join
-# it because recycled PM images cross goroutines through the image pool
-# (mem's concurrent pool test; mc's parallel schedule and reference
-# sweeps).
-go test -race -timeout 60m $short ./internal/harness/... ./internal/sim/... ./internal/serve/... ./internal/mem/... ./internal/mc/...
+# dispatchers and the result cache). internal/mem, internal/cache and
+# internal/mc join it because recycled PM images and caches cross
+# goroutines through the shared free list (mem's and cache's concurrent
+# free-list tests; mc's parallel schedule and reference sweeps).
+go test -race -timeout 60m $short ./internal/harness/... ./internal/sim/... ./internal/serve/... ./internal/mem/... ./internal/cache/... ./internal/mc/...
 
 stage crash-campaign "crash campaign (all designs, boundary-aligned, injection)"
 # A small end-to-end fault-injection campaign: every design × every

@@ -20,6 +20,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pmemspec/internal/mem"
 )
@@ -82,6 +83,12 @@ type Cache struct {
 	setMask  uint64
 	setShift uint
 	counter  uint64
+	// touched has one bit per set, set when Insert first fills the set
+	// after the cache was built or cleared. Only those sets can hold
+	// state, so a clear (Flush, or New recycling a released cache)
+	// resets just them: its cost tracks what a run filled, not the
+	// geometry. Hits never touch it.
+	touched []uint64
 
 	// Stats is the cache's activity counters.
 	Stats Stats
@@ -89,9 +96,21 @@ type Cache struct {
 
 const invalidTag = ^uint64(0)
 
+// geometry keys the recycle pool: caches of equal geometry have
+// interchangeable arrays.
+type geometry struct{ sets, ways int }
+
+// cachePool recycles released caches' arrays. A model-checker schedule
+// fills a few thousand of a 16 MB LLC's 262,144 lines, so allocating and
+// initializing its 10.5 MB of arrays afresh dominated the schedule's
+// set-up; a recycled cache clears only the sets it filled. It keeps up
+// to one Table 3 hierarchy (an LLC and eight L1s) per P.
+var cachePool = mem.NewFreeList[geometry, *Cache](9)
+
 // New creates a cache of sizeBytes capacity and the given associativity.
 // sizeBytes must be a multiple of ways×BlockSize with a power-of-two set
-// count.
+// count. It recycles a released cache of the same geometry when the pool
+// holds one; the result is indistinguishable from a freshly built cache.
 func New(name string, sizeBytes, ways int) *Cache {
 	if sizeBytes <= 0 || ways <= 0 || sizeBytes%(ways*mem.BlockSize) != 0 {
 		panic(fmt.Sprintf("cache: bad geometry %d bytes / %d ways", sizeBytes, ways))
@@ -100,6 +119,16 @@ func New(name string, sizeBytes, ways int) *Cache {
 	if nsets&(nsets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d not a power of two", nsets))
 	}
+	if c, ok := cachePool.Get(geometry{nsets, ways}); ok {
+		c.name = name
+		c.clearTouched()
+		return c
+	}
+	return build(name, nsets, ways)
+}
+
+// build allocates an empty cache of nsets sets and the given ways.
+func build(name string, nsets, ways int) *Cache {
 	c := &Cache{
 		name:     name,
 		tags:     make([]uint64, nsets*ways),
@@ -108,11 +137,37 @@ func New(name string, sizeBytes, ways int) *Cache {
 		ways:     ways,
 		setMask:  uint64(nsets - 1),
 		setShift: 6, // log2(BlockSize)
+		touched:  make([]uint64, (nsets+63)/64),
 	}
 	for i := range c.tags {
 		c.tags[i] = invalidTag
 	}
 	return c
+}
+
+// Release returns the cache's arrays to the recycle pool for the next
+// New of its geometry. The cache must not be used afterwards: its arrays
+// are detached, so later accesses panic instead of silently aliasing a
+// recycled cache. Release is idempotent — a second call is a no-op,
+// never a second pool insertion.
+func (c *Cache) Release() {
+	if c.tags == nil {
+		return // already released
+	}
+	// Pool a fresh wrapper rather than c itself: the caller still holds
+	// c, and a pooled object must have exactly one owner. The wrapper's
+	// counter and Stats start at zero, as a new cache's do.
+	r := &Cache{
+		tags:     c.tags,
+		uses:     c.uses,
+		lines:    c.lines,
+		ways:     c.ways,
+		setMask:  c.setMask,
+		setShift: c.setShift,
+		touched:  c.touched,
+	}
+	c.tags, c.uses, c.lines, c.touched = nil, nil, nil, nil
+	cachePool.Put(geometry{r.Sets(), r.ways}, r)
 }
 
 // Sets returns the number of sets (used by the synthetic conflict-evict
@@ -163,7 +218,8 @@ func (c *Cache) Peek(a mem.Addr) *Line {
 // block refreshes it in place (no eviction).
 func (c *Cache) Insert(a mem.Addr) (line *Line, ev Evicted, evicted bool) {
 	blk := mem.BlockAlign(a)
-	base := c.setBase(blk)
+	set := uint64(blk) >> c.setShift & c.setMask
+	base := set * uint64(c.ways)
 	invalid, lruIdx := -1, -1
 	var lruUse uint64
 	for i, t := range c.tags[base : base+uint64(c.ways)] {
@@ -183,6 +239,8 @@ func (c *Cache) Insert(a mem.Addr) (line *Line, ev Evicted, evicted bool) {
 			lruUse = u
 		}
 	}
+	// Miss: the set now holds state a clear must reset.
+	c.touched[set>>6] |= 1 << (set & 63)
 	victim := invalid
 	if victim < 0 {
 		victim = lruIdx
@@ -221,11 +279,25 @@ func (c *Cache) Invalidate(a mem.Addr) (ev Evicted, ok bool) {
 }
 
 // Flush clears the entire cache without reporting evictions (used to
-// model the volatile state loss at a crash).
-func (c *Cache) Flush() {
-	clear(c.lines)
-	clear(c.uses)
-	for i := range c.tags {
-		c.tags[i] = invalidTag
+// model the volatile state loss at a crash). It keeps the statistics.
+func (c *Cache) Flush() { c.clearTouched() }
+
+// clearTouched empties every set filled since the last clear — tags
+// invalid, uses and lines zero — which leaves every set as New builds
+// it.
+func (c *Cache) clearTouched() {
+	w := uint64(c.ways)
+	for i, word := range c.touched {
+		for word != 0 {
+			set := uint64(i)<<6 + uint64(bits.TrailingZeros64(word))
+			word &= word - 1
+			base := set * w
+			for j := base; j < base+w; j++ {
+				c.tags[j] = invalidTag
+			}
+			clear(c.uses[base : base+w])
+			clear(c.lines[base : base+w])
+		}
 	}
+	clear(c.touched)
 }

@@ -1,6 +1,10 @@
 package cache
 
 import (
+	"fmt"
+	"math/bits"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -301,6 +305,193 @@ func TestHierarchyInclusionProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCacheRecycle drives a cache through fills, dirtying, divergent
+// overrides, invalidations and evictions, then checks the two clears
+// against a freshly built cache, field for field: Release plus New must
+// hand back the same arrays reset to a new cache (tags, uses, lines,
+// counter and Stats), and Flush must reset the same sets but keep the
+// counter and Stats.
+func TestCacheRecycle(t *testing.T) {
+	stale := &[mem.BlockSize]byte{0xee}
+	// fill probes a's block and inserts it on a miss, as the hierarchy
+	// does.
+	fill := func(c *Cache, a mem.Addr) *Line {
+		if l := c.Lookup(a); l != nil {
+			return l
+		}
+		l, _, _ := c.Insert(a)
+		return l
+	}
+	cases := []struct {
+		name        string
+		size, ways  int
+		ops         func(c *Cache)
+		wantTouched int // sets filled
+	}{
+		{name: "fill", size: 4096, ways: 4, wantTouched: 3, ops: func(c *Cache) {
+			fill(c, 0x000)
+			fill(c, 0x040)
+			fill(c, 0x440) // set 1 again
+			fill(c, 0xfc0) // last set
+		}},
+		{name: "dirty-divergent", size: 4096, ways: 4, wantTouched: 2, ops: func(c *Cache) {
+			fill(c, 0x080).MarkDirty()
+			fill(c, 0x0c0).SetDivergent(stale)
+		}},
+		{name: "hits-and-misses", size: 4096, ways: 4, wantTouched: 1, ops: func(c *Cache) {
+			fill(c, 0x100)
+			fill(c, 0x100)
+			c.Lookup(0x140) // miss, never filled
+			c.Insert(0x100) // refresh in place
+		}},
+		{name: "invalidate", size: 4096, ways: 4, wantTouched: 2, ops: func(c *Cache) {
+			fill(c, 0x200).MarkDirty()
+			fill(c, 0x240)
+			c.Invalidate(0x200)
+		}},
+		{name: "evict", size: 2 * mem.BlockSize, ways: 2, wantTouched: 1, ops: func(c *Cache) {
+			fill(c, 0x000).MarkDirty()
+			fill(c, 0x040)
+			fill(c, 0x040)
+			fill(c, 0x080).SetDivergent(stale) // evicts dirty 0x000
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			nsets := tc.size / (tc.ways * mem.BlockSize)
+			fresh := build("t", nsets, tc.ways)
+			used := func(t *testing.T) *Cache {
+				c := New("t", tc.size, tc.ways)
+				tc.ops(c)
+				if c.Stats == (Stats{}) || c.counter == 0 {
+					t.Fatal("ops left no statistics to reset")
+				}
+				if got := touchedSets(c); got != tc.wantTouched {
+					t.Fatalf("%d sets marked touched, want %d", got, tc.wantTouched)
+				}
+				return c
+			}
+
+			t.Run("release", func(t *testing.T) {
+				c := used(t)
+				tags := &c.tags[0]
+				c.Release()
+				c.Release() // idempotent: one pool entry, not two
+				r := New("t", tc.size, tc.ways)
+				if &r.tags[0] != tags {
+					t.Fatal("New did not recycle the released cache")
+				}
+				if d := cacheDiff(r, fresh); d != "" {
+					t.Errorf("recycled cache differs from a new one: %s", d)
+				}
+				if other := New("t", tc.size, tc.ways); &other.tags[0] == tags {
+					t.Error("a double release handed one cache to two owners")
+				}
+			})
+			t.Run("flush", func(t *testing.T) {
+				c := used(t)
+				c.Flush()
+				want := *fresh
+				want.counter, want.Stats = c.counter, c.Stats
+				if d := cacheDiff(c, &want); d != "" {
+					t.Errorf("flushed cache differs from a new one: %s", d)
+				}
+			})
+		})
+	}
+}
+
+// cacheDiff names the first field, or array slot, in which got differs
+// from want; "" when they are equal.
+func cacheDiff(got, want *Cache) string {
+	for i := range want.lines {
+		switch {
+		case got.tags[i] != want.tags[i]:
+			return fmt.Sprintf("tags[%d] = %#x, want %#x", i, got.tags[i], want.tags[i])
+		case got.uses[i] != want.uses[i]:
+			return fmt.Sprintf("uses[%d] = %d, want %d", i, got.uses[i], want.uses[i])
+		case got.lines[i] != want.lines[i]:
+			return fmt.Sprintf("lines[%d] = %+v, want %+v", i, got.lines[i], want.lines[i])
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		g, w := *got, *want
+		g.tags, g.uses, g.lines, w.tags, w.uses, w.lines = nil, nil, nil, nil, nil, nil
+		return fmt.Sprintf("got %+v, want %+v", g, w)
+	}
+	return ""
+}
+
+// touchedSets counts the sets c has marked filled.
+func touchedSets(c *Cache) int {
+	n := 0
+	for _, w := range c.touched {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// TestCacheReleasedPanics: a released cache has no arrays, so using it
+// fails loudly instead of mutating whatever cache recycled them.
+func TestCacheReleasedPanics(t *testing.T) {
+	c := New("t", 1024, 2)
+	c.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("insert into a released cache did not panic")
+		}
+	}()
+	c.Insert(0x40)
+}
+
+// TestCachePoolConcurrent cycles caches through the shared free list
+// from several goroutines, as harness workers do: each takes a cache,
+// checks it is empty, fills its own blocks, checks they are all present
+// and releases it. A cache handed to two owners, or a line surviving a
+// recycle, shows up as a foreign or missing block (and, under -race, as
+// a race).
+func TestCachePoolConcurrent(t *testing.T) {
+	const workers, rounds, size, ways = 4, 25, 4096, 2
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				c := New("t", size, ways)
+				for i, tag := range c.tags {
+					if tag != invalidTag || touchedSets(c) != 0 {
+						errs <- fmt.Errorf("worker %d round %d: new cache holds block %#x in slot %d", w, r, tag, i)
+						return
+					}
+				}
+				own := make([]mem.Addr, 1+(w+r)%8)
+				for i := range own {
+					own[i] = mem.Addr((w*64 + r*8 + i) * mem.BlockSize)
+					c.Insert(own[i])
+				}
+				for _, a := range own {
+					if c.Peek(a) == nil {
+						errs <- fmt.Errorf("worker %d round %d: block %#x vanished", w, r, uint64(a))
+						return
+					}
+				}
+				if n := touchedSets(c); n != len(own) {
+					errs <- fmt.Errorf("worker %d round %d: %d touched sets, want %d", w, r, n, len(own))
+					return
+				}
+				c.Release()
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
 		t.Error(err)
 	}
 }

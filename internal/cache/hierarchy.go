@@ -299,3 +299,13 @@ func (h *Hierarchy) FlushAll() {
 	h.llc.Flush()
 	h.sharers.Clear()
 }
+
+// Release returns every cache to the recycle pool; the hierarchy must
+// not be used afterwards. The LLC goes last, so it is the newest entry,
+// the last a full pool drops: it is the one that is costly to rebuild.
+func (h *Hierarchy) Release() {
+	for _, c := range h.l1s {
+		c.Release()
+	}
+	h.llc.Release()
+}

@@ -232,6 +232,34 @@ func TestRecycledImagesLeakNoState(t *testing.T) {
 	}
 }
 
+// TestRecycledCachesLeakNoState: a grid cell releases its machine's
+// caches full of valid and dirty lines, and the next run's machine
+// takes them from the free list. A small PMEM-Spec crash trial
+// run after a large-footprint cell (8-thread tpcc, whose heap overlaps
+// the trial's) must reproduce its first-run outcome, metrics included:
+// a line surviving the recycle turns one of the trial's PM fetches into
+// a cache hit, which moves the cache and fetch counters.
+func TestRecycledCachesLeakNoState(t *testing.T) {
+	queue := TrialSpec{Design: machine.PMEMSpec, Workload: "queue",
+		Params: params("queue", 2, 40, 7),
+		Point:  CrashPoint{AtNS: 225_000, Label: "mid"}}
+	first, err := RunTrial(queue)
+	if err != nil || first.VerifyErr != nil || !first.Crashed {
+		t.Fatalf("first trial: err=%v verify=%v crashed=%v", err, first.VerifyErr, first.Crashed)
+	}
+	tpcc, err := workload.ByName("tpcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(machine.PMEMSpec, tpcc, params("tpcc", 8, 100, 7)); err != nil {
+		t.Fatal(err)
+	}
+	after, _ := RunTrial(queue)
+	if !reflect.DeepEqual(first, after) {
+		t.Errorf("queue trial after a tpcc cell differs from queue first:\nfirst: %+v\nafter: %+v", first, after)
+	}
+}
+
 // TestDiscoverBoundaries: an instrumented run must observe both boundary
 // families, and Points must label and budget them deterministically.
 func TestDiscoverBoundaries(t *testing.T) {

@@ -507,6 +507,10 @@ func runCustom(design machine.Design, w workload.Workload, p workload.Params, mo
 	if err != nil {
 		return Result{}, err
 	}
+	// Once the result is extracted, on every return path, recycle the
+	// machine's PM images and caches so the next grid cell skips
+	// building fresh ones.
+	defer m.Release()
 	var os *osint.OS
 	if register {
 		os = osint.New(m)
@@ -520,8 +524,5 @@ func runCustom(design machine.Design, w workload.Workload, p workload.Params, mo
 	}
 	res.Metrics = runMetrics(m, rt, os)
 	res.Timeline = m.Timeline()
-	// The run's outputs are all extracted; recycle the machine's PM
-	// images so the next grid cell skips zeroing fresh 64 MB arrays.
-	m.Release()
 	return res, nil
 }

@@ -378,11 +378,17 @@ func (m *Machine) Kernel() *sim.Kernel { return m.kernel }
 func (m *Machine) Space() *mem.Space { return m.space }
 
 // Release returns the machine's large recyclable buffers (the two PM
-// images) to their pools. Call it only after the run's results have been
-// extracted; the machine must not be used afterwards.
+// images and every cache of the hierarchy) to their free lists. Call it
+// only after the run's results have been extracted; the machine must not
+// be used afterwards. Release is idempotent: a second call is a no-op,
+// so no buffer is ever handed to two later machines.
 func (m *Machine) Release() {
+	if m.space == nil {
+		return // already released
+	}
 	m.space.Release()
-	m.space = nil
+	m.hier.Release()
+	m.space, m.hier = nil, nil
 }
 
 // Hierarchy returns the cache hierarchy (tests, diagnostics).

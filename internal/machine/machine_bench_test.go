@@ -4,9 +4,11 @@ import "testing"
 
 // BenchmarkMachineNew measures the set-up every crash trial and
 // model-checker schedule pays: New plus Release of a default-size
-// 4-core machine. B/op is what construction allocates beyond the
-// recycled PM images; the region-indexed block tables start empty, so it
-// tracks the cache geometry, not the 64 MB region.
+// 4-core machine. The PM images and the caches come back from their
+// free lists, and the region-indexed block tables start empty, so B/op
+// is the machine's small per-run structures (queues, buffers, the
+// metrics registry): it tracks neither the 64 MB region nor the 16 MB
+// LLC.
 func BenchmarkMachineNew(b *testing.B) {
 	for _, d := range []Design{PMEMSpec, HOPS} {
 		cfg := DefaultConfig(d, 4)

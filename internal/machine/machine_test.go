@@ -685,3 +685,34 @@ func TestSpecContextVirtualization(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReleaseIdempotent: a second Release is a no-op, so the machine's
+// caches and images each go to their free list once and two later
+// machines never share one. A run on the first must leave the second's
+// caches and images untouched.
+func TestReleaseIdempotent(t *testing.T) {
+	cfg := DefaultConfig(PMEMSpec, 2)
+	m := mustNew(t, cfg)
+	m.Release()
+	m.Release()
+	a, b := mustNew(t, cfg), mustNew(t, cfg)
+	defer a.Release()
+	defer b.Release()
+	base := a.Space().Base()
+	a.Spawn("w", func(th *Thread) { th.StoreU64(base, 7) })
+	if err := a.Run(); err != nil {
+		t.Fatal(err)
+	}
+	hb := b.Hierarchy()
+	for c := 0; c < hb.Cores(); c++ {
+		if hb.L1(c).Peek(base) != nil {
+			t.Errorf("a's store filled b's L1-%d", c)
+		}
+	}
+	if hb.Cached(base) {
+		t.Error("a's store filled b's LLC")
+	}
+	if got := b.Space().Arch.ReadU64(base); got != 0 {
+		t.Errorf("a's store reached b's image (read %d)", got)
+	}
+}

@@ -1,0 +1,61 @@
+package mem
+
+import (
+	"runtime"
+	"slices"
+	"sync"
+)
+
+// FreeList recycles large run-scoped buffers between runs: the PM
+// images here and the cache arrays in package cache. Values are keyed by
+// their size or geometry and a Get returns only a value of its key.
+//
+// It is a free list, most recently released last, not a sync.Pool: a
+// sync.Pool empties itself over garbage collections and keeps per-P
+// slots that other Ps cannot take from, so how many runs had to build a
+// fresh buffer varied with GC and scheduler timing. A FreeList keeps a
+// released value until a Get of its key takes it, newest first. It holds
+// at most perP values per P (GOMAXPROCS, the harness's default worker
+// count); a Put into a full list first drops the least recently released
+// value. It is safe for concurrent use.
+type FreeList[K comparable, V any] struct {
+	mu   sync.Mutex
+	perP int
+	free []freeEntry[K, V]
+}
+
+type freeEntry[K comparable, V any] struct {
+	key K
+	v   V
+}
+
+// NewFreeList returns an empty free list holding up to perP values per P.
+func NewFreeList[K comparable, V any](perP int) *FreeList[K, V] {
+	return &FreeList[K, V]{perP: perP}
+}
+
+// Get removes and returns the most recently released value of key; ok is
+// false when the list holds none.
+func (f *FreeList[K, V]) Get(key K) (v V, ok bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for i := len(f.free) - 1; i >= 0; i-- {
+		if f.free[i].key == key {
+			v = f.free[i].v
+			f.free = slices.Delete(f.free, i, i+1)
+			return v, true
+		}
+	}
+	return v, false
+}
+
+// Put releases v under key. The caller must not use v afterwards: the
+// next Get of key hands it to a new owner.
+func (f *FreeList[K, V]) Put(key K, v V) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.free) >= f.perP*runtime.GOMAXPROCS(0) {
+		f.free = slices.Delete(f.free, 0, 1)
+	}
+	f.free = append(f.free, freeEntry[K, V]{key, v})
+}

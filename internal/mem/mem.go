@@ -15,9 +15,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"runtime"
-	"slices"
-	"sync"
 )
 
 // BlockSize is the cache-block size in bytes (Table 3: 64 B blocks).
@@ -46,22 +43,12 @@ type Image struct {
 	hwm uint64
 }
 
-// imagePool recycles the large backing arrays between runs. Zeroing a
-// fresh multi-megabyte image per (design, workload) grid cell was ~10%
-// of fig10 wall-clock; recycled images clear only their dirty prefix.
-// Small images (tests) bypass the pool.
-//
-// It is a free list, most recently released last, not a sync.Pool: a
-// sync.Pool empties itself over garbage collections and keeps per-P
-// slots that other Ps cannot take from, so how many runs had to zero a
-// fresh 64 MB array varied with GC and scheduler timing. The free list
-// keeps a released array until a NewImage or Clone of its size takes
-// it, up to two arrays (a machine's two images) per P, the harness's
-// default worker count.
-var imagePool struct {
-	sync.Mutex
-	free []*Image
-}
+// imagePool recycles the large backing arrays between runs, keyed by
+// size. Zeroing a fresh multi-megabyte image per (design, workload) grid
+// cell was ~10% of fig10 wall-clock; recycled images clear only their
+// dirty prefix. It keeps up to two arrays (a machine's two images) per
+// P. Small images (tests) bypass the pool.
+var imagePool = NewFreeList[uint64, *Image](2)
 
 const imagePoolMin = 1 << 20
 
@@ -83,15 +70,8 @@ func pooledImage(size uint64) *Image {
 	if size < imagePoolMin {
 		return nil
 	}
-	imagePool.Lock()
-	defer imagePool.Unlock()
-	for i := len(imagePool.free) - 1; i >= 0; i-- {
-		if im := imagePool.free[i]; uint64(len(im.data)) == size {
-			imagePool.free = slices.Delete(imagePool.free, i, i+1)
-			return im
-		}
-	}
-	return nil
+	im, _ := imagePool.Get(size)
+	return im
 }
 
 // Release returns the image's backing array to the recycle pool. The
@@ -108,13 +88,7 @@ func (im *Image) Release() {
 	if uint64(len(d)) >= imagePoolMin {
 		// Pool a fresh wrapper rather than im itself: the caller still
 		// holds im, and a pooled object must have exactly one owner.
-		imagePool.Lock()
-		if len(imagePool.free) >= 2*runtime.GOMAXPROCS(0) {
-			// Full: drop the least recently released array.
-			imagePool.free = slices.Delete(imagePool.free, 0, 1)
-		}
-		imagePool.free = append(imagePool.free, &Image{data: d, hwm: im.hwm})
-		imagePool.Unlock()
+		imagePool.Put(uint64(len(d)), &Image{data: d, hwm: im.hwm})
 	}
 }
 
