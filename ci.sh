@@ -115,6 +115,14 @@ run_budgeted pmemspec-lint "${LINT_BUDGET_S:-120}" \
 
 stage build "go build ./..."
 go build ./...
+# Only the commands that offer -debug-addr (pmemspec-bench, -crash,
+# -serve) import internal/debughttp. The simulator's other binaries must
+# not link net/http: its ~80 dependent packages would initialize in
+# every process, and set-up time is part of what the benchmark measures.
+if go list -deps ./cmd/pmemspec-mc ./cmd/pmemspec-sim | grep -qx 'net/http'; then
+	echo "pmemspec-mc or pmemspec-sim links net/http; keep the debug server in internal/debughttp"
+	exit 1
+fi
 
 stage test "go test $short ./..."
 go test $short ./...
@@ -138,9 +146,12 @@ stage race "go test -race $short ./internal/harness/... ./internal/sim/... ./int
 # internal/serve joins the race pass because it is the other place
 # host-level concurrency lives (HTTP handlers racing the job
 # dispatchers and the result cache). internal/mem, internal/cache and
-# internal/mc join it because recycled PM images and caches cross
-# goroutines through the shared free list (mem's and cache's concurrent
-# free-list tests; mc's parallel schedule and reference sweeps).
+# internal/mc join it because recycled PM images, caches and block
+# tables cross goroutines through the shared free lists (mem's and
+# cache's concurrent free-list tests; mc's parallel schedule and
+# reference sweeps). Under -race the PM images stay on the Go heap
+# (internal/mem/array_heap.go) rather than in mappings of their own, so
+# the detector still sees their bytes.
 go test -race -timeout 60m $short ./internal/harness/... ./internal/sim/... ./internal/serve/... ./internal/mem/... ./internal/cache/... ./internal/mc/...
 
 stage crash-campaign "crash campaign (all designs, boundary-aligned, injection)"

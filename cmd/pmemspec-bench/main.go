@@ -30,6 +30,7 @@ import (
 	"runtime/pprof"
 	"time"
 
+	"pmemspec/internal/debughttp"
 	"pmemspec/internal/harness"
 	"pmemspec/internal/machine"
 	"pmemspec/internal/metrics"
@@ -95,7 +96,7 @@ func main() {
 	if *debugAddr != "" {
 		// A bind failure is fatal: the user asked for the endpoint, and
 		// running the whole sweep without it would silently drop it.
-		addr, closer, err := metrics.ServeDebug(*debugAddr)
+		addr, closer, err := debughttp.ServeDebug(*debugAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pmemspec-bench: debug-addr:", err)
 			os.Exit(1)

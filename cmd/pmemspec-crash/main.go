@@ -28,6 +28,7 @@ import (
 	"os"
 	"strings"
 
+	"pmemspec/internal/debughttp"
 	"pmemspec/internal/fatomic"
 	"pmemspec/internal/harness"
 	"pmemspec/internal/machine"
@@ -65,7 +66,7 @@ func main() {
 	if *debugAddr != "" {
 		// A bind failure is fatal: the user asked for the endpoint, and
 		// running the whole campaign without it would silently drop it.
-		addr, closer, err := metrics.ServeDebug(*debugAddr)
+		addr, closer, err := debughttp.ServeDebug(*debugAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pmemspec-crash: debug-addr:", err)
 			os.Exit(1)

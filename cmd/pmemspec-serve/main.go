@@ -39,7 +39,7 @@ import (
 	"syscall"
 	"time"
 
-	"pmemspec/internal/metrics"
+	"pmemspec/internal/debughttp"
 	"pmemspec/internal/serve"
 )
 
@@ -60,7 +60,7 @@ func main() {
 		// A requested-but-unbindable debug listener is a fatal
 		// misconfiguration, not a warning: silently running without
 		// profiling defeats the point of asking for it.
-		dAddr, closer, err := metrics.ServeDebug(*debugAddr)
+		dAddr, closer, err := debughttp.ServeDebug(*debugAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pmemspec-serve: debug-addr:", err)
 			os.Exit(1)

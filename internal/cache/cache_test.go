@@ -221,10 +221,10 @@ func TestHierarchyLLCEvictionReportedAndL1Invalidated(t *testing.T) {
 	h.FillFromMemory(0, a, nil)
 	h.Store(0, a)
 	res := h.FillFromMemory(0, b, nil)
-	if len(res.LLCEvicted) != 1 {
-		t.Fatalf("LLCEvicted = %v, want 1 entry", res.LLCEvicted)
+	if !res.LLCEvicted {
+		t.Fatal("no LLC eviction reported, want block a")
 	}
-	ev := res.LLCEvicted[0]
+	ev := res.LLCVictim
 	if ev.Addr != a || !ev.Dirty {
 		t.Errorf("evicted %+v, want dirty block a", ev)
 	}

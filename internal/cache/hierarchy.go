@@ -41,9 +41,13 @@ type AccessResult struct {
 	Level Level
 	// Line is the L1 line now holding the block (after any fill).
 	Line *Line
-	// LLCEvicted lists blocks displaced from the LLC by this access, in
-	// eviction order. The machine layer decides their fate per design.
-	LLCEvicted []Evicted
+	// LLCVictim is the block this access displaced from the LLC, when
+	// LLCEvicted is set. The machine layer decides its fate per design.
+	// Only FillFromMemory inserts into the LLC, and an insert displaces
+	// at most one line, so the victim travels inline and a miss
+	// allocates nothing.
+	LLCVictim  Evicted
+	LLCEvicted bool
 }
 
 // Hierarchy is the full simulated cache system: one private L1 per core
@@ -62,6 +66,10 @@ type Hierarchy struct {
 	InvalidationsSent uint64
 }
 
+// sharerTables recycles the sharer tables' arrays, one per hierarchy
+// per P, like cachePool the caches.
+var sharerTables = mem.NewFreeList[uint64, []uint64](1)
+
 // NewHierarchy builds ncores private L1s of l1Bytes/l1Ways each and a
 // shared LLC of llcBytes/llcWays serving the memory region
 // [base, base+memBytes).
@@ -71,7 +79,7 @@ func NewHierarchy(ncores, l1Bytes, l1Ways, llcBytes, llcWays int, base mem.Addr,
 	}
 	h := &Hierarchy{
 		llc:     New("LLC", llcBytes, llcWays),
-		sharers: mem.NewBlockTable[uint64]("cache", base, memBytes),
+		sharers: mem.NewBlockTable("cache", base, memBytes, sharerTables),
 	}
 	for i := 0; i < ncores; i++ {
 		h.l1s = append(h.l1s, New(fmt.Sprintf("L1-%d", i), l1Bytes, l1Ways))
@@ -238,7 +246,7 @@ func (h *Hierarchy) evictFromLLC(ev Evicted, res *AccessResult) {
 		}
 	}
 	*sp = 0
-	res.LLCEvicted = append(res.LLCEvicted, ev)
+	res.LLCVictim, res.LLCEvicted = ev, true
 }
 
 func (h *Hierarchy) clearSharer(core int, blk mem.Addr) {
@@ -300,12 +308,14 @@ func (h *Hierarchy) FlushAll() {
 	h.sharers.Clear()
 }
 
-// Release returns every cache to the recycle pool; the hierarchy must
-// not be used afterwards. The LLC goes last, so it is the newest entry,
-// the last a full pool drops: it is the one that is costly to rebuild.
+// Release returns every cache and the sharer table to their free
+// lists; the hierarchy must not be used afterwards. The LLC goes last,
+// so it is the newest entry, the last a full pool drops: it is the one
+// that is costly to rebuild.
 func (h *Hierarchy) Release() {
 	for _, c := range h.l1s {
 		c.Release()
 	}
 	h.llc.Release()
+	h.sharers.Release()
 }

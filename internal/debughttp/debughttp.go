@@ -1,9 +1,14 @@
-// ServeDebug exposes the Go runtime's pprof and expvar endpoints for
-// the long multi-minute experiment sweeps. This is host-side
+// Package debughttp exposes the Go runtime's pprof and expvar endpoints
+// for the long multi-minute experiment sweeps. This is host-side
 // observability — wall-clock profiles of the simulator process itself —
 // and deliberately lives outside the deterministic surface: nothing it
 // serves feeds back into simulation output.
-package metrics
+//
+// It is a package of its own so that only the commands offering
+// -debug-addr (pmemspec-bench, pmemspec-crash, pmemspec-serve) link
+// net/http, net/http/pprof, expvar and crypto/tls; a binary that imports
+// only the simulator starts without initializing them.
+package debughttp
 
 import (
 	"expvar"

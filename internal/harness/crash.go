@@ -178,10 +178,13 @@ func runSweep(spec TrialSpec, w workload.Workload, pts []CrashPoint, bounds *Bou
 	barrier := sim.NewBarrier(p.Threads)
 	setupDone := sim.Forever
 	finished := 0
+	_, logFree := w.(workload.LogFree)
 	for tid := 0; tid < p.Threads; tid++ {
 		tid := tid
 		m.Spawn(fmt.Sprintf("worker%d", tid), func(t *machine.Thread) {
-			rt.WarmLog(t)
+			if !logFree {
+				rt.WarmLog(t)
+			}
 			if tid == 0 {
 				w.Setup(env, t)
 				// Initialization completes durably (see

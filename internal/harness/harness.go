@@ -99,10 +99,13 @@ func execute(m *machine.Machine, rt *fatomic.Runtime, env *workload.Env, w workl
 	barrier := sim.NewBarrier(p.Threads)
 	starts := make([]sim.Time, p.Threads)
 	ends := make([]sim.Time, p.Threads)
+	_, logFree := w.(workload.LogFree)
 	for tid := 0; tid < p.Threads; tid++ {
 		tid := tid
 		m.Spawn(fmt.Sprintf("worker%d", tid), func(t *machine.Thread) {
-			rt.WarmLog(t) // log pre-fault belongs to initialization
+			if !logFree {
+				rt.WarmLog(t) // log pre-fault belongs to initialization
+			}
 			if tid == 0 {
 				w.Setup(env, t)
 			}

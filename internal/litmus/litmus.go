@@ -350,6 +350,11 @@ func NewProgram(p Pattern) *Program { return &Program{P: p} }
 // Name implements workload.Workload.
 func (pr *Program) Name() string { return "litmus-" + pr.P.Name }
 
+// LogFree implements workload.LogFree: a litmus program orders its
+// stores with the design's barriers, never with a failure-atomic
+// section.
+func (pr *Program) LogFree() {}
+
 // Description implements workload.Workload.
 func (pr *Program) Description() string {
 	return fmt.Sprintf("litmus pattern %s (%d ops)", pr.P.Name, len(pr.P.Ops))

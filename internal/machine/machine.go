@@ -215,7 +215,7 @@ func New(cfg Config) (*Machine, error) {
 		}
 		if cfg.Design == HOPS {
 			m.bloom = pmc.NewBloom(cfg.BloomBuckets, cfg.BloomLookupCost)
-			m.hopsPending = mem.NewBlockTable[hopsDep]("machine: HOPS pending", mem.DefaultBase, cfg.MemBytes)
+			m.hopsPending = mem.NewBlockTable("machine: HOPS pending", mem.DefaultBase, cfg.MemBytes, hopsTables)
 			m.hopsDepHorizon = make([]sim.Time, cfg.Cores)
 		}
 		onDrain := func(a mem.Addr, d []byte, at sim.Time) {
@@ -257,6 +257,10 @@ func New(cfg Config) (*Machine, error) {
 	}
 	return m, nil
 }
+
+// hopsTables recycles the HOPS pending tables' arrays between machines,
+// one per P.
+var hopsTables = mem.NewFreeList[uint64, []hopsDep](1)
 
 // hopsDep records the newest pending persist to a block. live marks the
 // slot as tracked; inList dedups hopsLiveList appends (an entry can die
@@ -378,7 +382,8 @@ func (m *Machine) Kernel() *sim.Kernel { return m.kernel }
 func (m *Machine) Space() *mem.Space { return m.space }
 
 // Release returns the machine's large recyclable buffers (the two PM
-// images and every cache of the hierarchy) to their free lists. Call it
+// images, every cache of the hierarchy and the per-block tables: cache
+// sharers, WPQ coalescing, HOPS pending) to their free lists. Call it
 // only after the run's results have been extracted; the machine must not
 // be used afterwards. Release is idempotent: a second call is a no-op,
 // so no buffer is ever handed to two later machines.
@@ -388,6 +393,10 @@ func (m *Machine) Release() {
 	}
 	m.space.Release()
 	m.hier.Release()
+	for _, q := range m.wpqs {
+		q.Release()
+	}
+	m.hopsPending.Release()
 	m.space, m.hier = nil, nil
 }
 
@@ -527,37 +536,34 @@ func (m *Machine) MaxThreadClock() sim.Time {
 	return max
 }
 
-// handleLLCEvictions applies the design's dirty-eviction policy to
-// blocks displaced from the LLC at thread-time `now`.
-func (m *Machine) handleLLCEvictions(now sim.Time, evs []cache.Evicted) {
-	for _, ev := range evs {
-		if !ev.Dirty {
-			continue
-		}
-		switch m.cfg.Design {
-		case IntelX86, Strand:
-			// Dirty eviction writes back to PM (StrandWeaver explicitly
-			// writes dirty lines back before eviction, §3.1): snapshot
-			// the coherent block now; it becomes durable at WPQ
-			// admission.
-			m.stats.DirtyWritebacksToPM++
-			at := now + m.cfg.WritebackLatency
-			bw := blockWrite{at: at, addr: ev.Addr}
-			bw.snap = m.space.Arch.ReadBlock(ev.Addr)
-			m.wbArrivals.entries = append(m.wbArrivals.entries, bw)
-			m.kernel.ScheduleHandler(at, &m.wbArrivals, uint64(at))
-		case PMEMSpec:
-			// Data dropped silently, but the owning controller receives
-			// the WriteBack notification that arms load-misspeculation
-			// monitoring (§5.1.4).
-			m.stats.DroppedDirtyWritebacks++
-			at := now + m.cfg.WritebackLatency
-			m.wbNotices.entries = append(m.wbNotices.entries, wbNotice{at: at, addr: ev.Addr})
-			m.kernel.ScheduleHandler(at, &m.wbNotices, uint64(at))
-		default: // HOPS, DPO
-			// Dropped silently; the persist buffers carry persistence.
-			m.stats.DroppedDirtyWritebacks++
-		}
+// handleLLCEviction applies the design's dirty-eviction policy to a
+// block displaced from the LLC at thread-time `now`.
+func (m *Machine) handleLLCEviction(now sim.Time, ev cache.Evicted) {
+	if !ev.Dirty {
+		return
+	}
+	switch m.cfg.Design {
+	case IntelX86, Strand:
+		// Dirty eviction writes back to PM (StrandWeaver explicitly
+		// writes dirty lines back before eviction, §3.1): snapshot the
+		// coherent block now; it becomes durable at WPQ admission.
+		m.stats.DirtyWritebacksToPM++
+		at := now + m.cfg.WritebackLatency
+		bw := blockWrite{at: at, addr: ev.Addr}
+		bw.snap = m.space.Arch.ReadBlock(ev.Addr)
+		m.wbArrivals.entries = append(m.wbArrivals.entries, bw)
+		m.kernel.ScheduleHandler(at, &m.wbArrivals, uint64(at))
+	case PMEMSpec:
+		// Data dropped silently, but the owning controller receives the
+		// WriteBack notification that arms load-misspeculation
+		// monitoring (§5.1.4).
+		m.stats.DroppedDirtyWritebacks++
+		at := now + m.cfg.WritebackLatency
+		m.wbNotices.entries = append(m.wbNotices.entries, wbNotice{at: at, addr: ev.Addr})
+		m.kernel.ScheduleHandler(at, &m.wbNotices, uint64(at))
+	default: // HOPS, DPO
+		// Dropped silently; the persist buffers carry persistence.
+		m.stats.DroppedDirtyWritebacks++
 	}
 }
 

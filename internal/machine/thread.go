@@ -229,7 +229,9 @@ func (t *Thread) fetchFromPM(issued sim.Time, a mem.Addr) *cache.Line {
 		panic("machine: fetch wake without completion")
 	}
 	res := m.hier.FillFromMemory(t.coreID, a, t.fetchDivergent)
-	m.handleLLCEvictions(t.sim.Clock(), res.LLCEvicted)
+	if res.LLCEvicted {
+		m.handleLLCEviction(t.sim.Clock(), res.LLCVictim)
+	}
 	return res.Line
 }
 

@@ -358,8 +358,11 @@ func TestMTLitmusSmallRun(t *testing.T) {
 // re-simulating crash sweep at boundary-aligned points must be an
 // entry of the cell's chain, and every cell the sweep witnesses the
 // model checker must witness too.
-// The selection is 10 stride-picked patterns × 5 designs × 6 boundary
-// instants (3 crash points each): 900 images.
+// The selection is 10 stride-picked patterns × 5 designs × up to 6
+// boundary instants (3 crash points each): 897 images. Every cell but
+// one finds 6 instants; sameline-order/HOPS persists only 5 boundaries
+// in its reference discovery run (a litmus program warms no log), so
+// it contributes 15 images, not 18.
 func TestChainCoversCrashSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash sweep in -short mode")
@@ -396,8 +399,8 @@ func TestChainCoversCrashSweep(t *testing.T) {
 			}
 		}
 	}
-	if total != 900 {
-		t.Errorf("swept %d crash images, want 900", total)
+	if total != 897 {
+		t.Errorf("swept %d crash images, want 897", total)
 	}
 	t.Logf("%d of %d crash images missing from the chains", missing, total)
 }

@@ -12,9 +12,9 @@ import (
 // replayer executes one schedule script: it parks every worker thread
 // at each op boundary (via litmus.Program.Hook) and releases them one
 // op at a time in script order (via sim.Kernel.SetScheduler). Harness
-// machinery outside the pattern body — log warm-up, setup, the start
-// barrier, the join rendezvous and the verification tail — runs under
-// the default (clock, id) policy; only pattern ops are choice points.
+// machinery outside the pattern body — setup, the start barrier, the
+// join rendezvous and the verification tail — runs under the default
+// (clock, id) policy; only pattern ops are choice points.
 type replayer struct {
 	prog   *litmus.Program
 	script []int

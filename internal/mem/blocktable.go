@@ -12,11 +12,18 @@ import "fmt"
 // geometrically; entries past it read as zero. A run that touches the
 // first few hundred kilobytes of a 64 MB region therefore builds a table
 // over those blocks only. Indices past the region panic.
+//
+// A table built with a free list recycles its array: NewBlockTable takes
+// a released array of a table over as many blocks, clears the prefix its
+// last owner materialized and grows into the rest without allocating.
+// Everything past a materialized prefix is zero, so that clear is all a
+// recycled table needs.
 type BlockTable[T any] struct {
 	name    string
 	base    Addr
 	nblocks uint64
-	tab     []T // the materialized prefix
+	tab     []T // the materialized prefix; tab[len:cap] is zero
+	free    *FreeList[uint64, []T]
 }
 
 // blockTableMin is the first materialized length: small enough that a
@@ -24,9 +31,32 @@ type BlockTable[T any] struct {
 const blockTableMin = 1024
 
 // NewBlockTable returns an empty table covering [base, base+size). name
-// prefixes the out-of-region panic message.
-func NewBlockTable[T any](name string, base Addr, size uint64) BlockTable[T] {
-	return BlockTable[T]{name: name, base: base, nblocks: (size + BlockSize - 1) / BlockSize}
+// prefixes the out-of-region panic message. free, when non-nil, is the
+// free list the table's array comes from and Release returns it to,
+// keyed by the table's block count.
+func NewBlockTable[T any](name string, base Addr, size uint64, free *FreeList[uint64, []T]) BlockTable[T] {
+	t := BlockTable[T]{name: name, base: base, nblocks: (size + BlockSize - 1) / BlockSize, free: free}
+	if free != nil {
+		if tab, ok := free.Get(t.nblocks); ok {
+			clear(tab)
+			t.tab = tab[:0]
+		}
+	}
+	return t
+}
+
+// Release returns the table's array to its free list, if it has one,
+// for the next table over as many blocks. The table must not be used
+// afterwards: it then covers no blocks, so every access panics instead
+// of silently aliasing a recycled array. Release is idempotent — a
+// second call is a no-op, never a second insertion (which would hand one
+// array to two tables).
+func (t *BlockTable[T]) Release() {
+	tab, n := t.tab, t.nblocks
+	t.tab, t.nblocks = nil, 0
+	if t.free != nil && cap(tab) > 0 {
+		t.free.Put(n, tab)
+	}
 }
 
 // Block returns the index of a's cache block. It does not check the
@@ -71,15 +101,20 @@ func (t *BlockTable[T]) unwritten(i uint64) T {
 }
 
 // grow materializes the prefix through i, at least doubling it, and
-// returns entry i.
+// returns entry i. A recycled array's capacity is already zero, so the
+// prefix grows into it without allocating.
 //
 //go:noinline
 func (t *BlockTable[T]) grow(i uint64) *T {
 	t.check(i)
 	n := min(max(2*uint64(len(t.tab)), i+1, blockTableMin), t.nblocks)
-	tab := make([]T, n)
-	copy(tab, t.tab)
-	t.tab = tab
+	if n <= uint64(cap(t.tab)) {
+		t.tab = t.tab[:n]
+	} else {
+		tab := make([]T, n)
+		copy(tab, t.tab)
+		t.tab = tab
+	}
 	return &t.tab[i]
 }
 

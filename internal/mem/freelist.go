@@ -7,8 +7,9 @@ import (
 )
 
 // FreeList recycles large run-scoped buffers between runs: the PM
-// images here and the cache arrays in package cache. Values are keyed by
-// their size or geometry and a Get returns only a value of its key.
+// images here, the caches in package cache and the components' block
+// tables (BlockTable). Values are keyed by their size or geometry and a
+// Get returns only a value of its key.
 //
 // It is a free list, most recently released last, not a sync.Pool: a
 // sync.Pool empties itself over garbage collections and keeps per-P
@@ -50,12 +51,16 @@ func (f *FreeList[K, V]) Get(key K) (v V, ok bool) {
 }
 
 // Put releases v under key. The caller must not use v afterwards: the
-// next Get of key hands it to a new owner.
-func (f *FreeList[K, V]) Put(key K, v V) {
+// next Get of key hands it to a new owner. When the list is full, Put
+// first drops its least recently released value and returns it with ok
+// true, so that the caller can free what the garbage collector does not.
+func (f *FreeList[K, V]) Put(key K, v V) (dropped V, ok bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if len(f.free) >= f.perP*runtime.GOMAXPROCS(0) {
+		dropped, ok = f.free[0].v, true
 		f.free = slices.Delete(f.free, 0, 1)
 	}
 	f.free = append(f.free, freeEntry[K, V]{key, v})
+	return dropped, ok
 }

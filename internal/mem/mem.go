@@ -15,6 +15,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 )
 
 // BlockSize is the cache-block size in bytes (Table 3: 64 B blocks).
@@ -41,37 +43,55 @@ type Image struct {
 	// has to clear [0, hwm) instead of its full (typically 64 MB) length,
 	// and a copy only has to copy it.
 	hwm uint64
+	// free frees a large image's array (see allocImage) if the image
+	// becomes unreachable unreleased; Release stops it.
+	free runtime.Cleanup
 }
 
 // imagePool recycles the large backing arrays between runs, keyed by
 // size. Zeroing a fresh multi-megabyte image per (design, workload) grid
 // cell was ~10% of fig10 wall-clock; recycled images clear only their
 // dirty prefix. It keeps up to two arrays (a machine's two images) per
-// P. Small images (tests) bypass the pool.
+// P and frees the arrays it drops. Small images (tests) bypass the pool
+// and stay on the Go heap.
 var imagePool = NewFreeList[uint64, *Image](2)
 
 const imagePoolMin = 1 << 20
 
+// arraysFreed counts the large arrays freed so far, by the pool or by
+// an unreleased image's cleanup (tests read it).
+var arraysFreed atomic.Int64
+
 // NewImage creates a zeroed image covering [base, base+size).
 func NewImage(base Addr, size uint64) *Image {
-	if im := pooledImage(size); im != nil {
-		im.base = base
-		clear(im.data[:im.hwm])
-		im.hwm = 0
-		return im
-	}
-	return &Image{base: base, data: make([]byte, size)}
+	im := allocImage(size)
+	im.base = base
+	clear(im.data[:im.hwm])
+	im.hwm = 0
+	return im
 }
 
-// pooledImage returns a recycled image of exactly the requested size, or
-// nil. Its dirty prefix [0, hwm) has NOT been cleared — NewImage zeroes
-// it, Clone overwrites it through CopyFrom.
-func pooledImage(size uint64) *Image {
+// allocImage returns an image of size bytes whose dirty prefix [0, hwm)
+// has NOT been cleared — NewImage zeroes it, Clone overwrites it through
+// CopyFrom. A small image is a fresh Go slice. A large one owns a
+// recycled array or a fresh one from newArray, and a cleanup frees the
+// array if the image is dropped without Release.
+func allocImage(size uint64) *Image {
 	if size < imagePoolMin {
-		return nil
+		return &Image{data: make([]byte, size)}
 	}
-	im, _ := imagePool.Get(size)
+	im, ok := imagePool.Get(size)
+	if !ok {
+		im = &Image{data: newArray(size)}
+	}
+	im.free = runtime.AddCleanup(im, freeLarge, im.data)
 	return im
+}
+
+// freeLarge frees a large array no image or pool entry holds any more.
+func freeLarge(d []byte) {
+	arraysFreed.Add(1)
+	freeArray(d)
 }
 
 // Release returns the image's backing array to the recycle pool. The
@@ -86,9 +106,12 @@ func (im *Image) Release() {
 	}
 	im.data = nil
 	if uint64(len(d)) >= imagePoolMin {
+		im.free.Stop()
 		// Pool a fresh wrapper rather than im itself: the caller still
 		// holds im, and a pooled object must have exactly one owner.
-		imagePool.Put(uint64(len(d)), &Image{data: d, hwm: im.hwm})
+		if old, dropped := imagePool.Put(uint64(len(d)), &Image{data: d, hwm: im.hwm}); dropped {
+			freeLarge(old.data)
+		}
 	}
 }
 
@@ -161,10 +184,7 @@ func (im *Image) WriteBlock(a Addr, b [BlockSize]byte) {
 
 // Clone returns a deep copy of the image (for crash snapshots).
 func (im *Image) Clone() *Image {
-	c := pooledImage(uint64(len(im.data)))
-	if c == nil {
-		c = &Image{data: make([]byte, len(im.data))}
-	}
+	c := allocImage(uint64(len(im.data)))
 	c.CopyFrom(im)
 	return c
 }

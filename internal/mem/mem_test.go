@@ -3,9 +3,11 @@ package mem
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestBlockUtilities(t *testing.T) {
@@ -204,11 +206,83 @@ func TestImageClone(t *testing.T) {
 	}
 }
 
-// drainPool empties the recycle pool.
+// drainPool empties the recycle pool, freeing its arrays.
 func drainPool() {
 	imagePool.mu.Lock()
+	free := imagePool.free
 	imagePool.free = nil
 	imagePool.mu.Unlock()
+	for _, e := range free {
+		freeLarge(e.v.data)
+	}
+}
+
+// TestImageArraysFreed checks who frees a large image's array, counted
+// through arraysFreed: the cleanup of an image dropped without Release,
+// never that of a released one (its array lives on in the pool), and
+// the pool for each array it drops.
+func TestImageArraysFreed(t *testing.T) {
+	const size = imagePoolMin
+	// awaitFreed runs collections until want arrays have been freed
+	// since from or the deadline passes; cleanups run on their own
+	// goroutine after the collection that finds the image unreachable.
+	awaitFreed := func(from, want int64) int64 {
+		deadline := time.Now().Add(5 * time.Second)
+		for arraysFreed.Load()-from < want && time.Now().Before(deadline) {
+			runtime.GC()
+			time.Sleep(time.Millisecond)
+		}
+		return arraysFreed.Load() - from
+	}
+	t.Run("unreleased", func(t *testing.T) {
+		drainPool()
+		from := arraysFreed.Load()
+		func() {
+			im := NewImage(DefaultBase, size)
+			im.WriteU64(DefaultBase, 1)
+		}()
+		if n := awaitFreed(from, 1); n != 1 {
+			t.Fatalf("%d arrays freed after dropping an unreleased image, want 1", n)
+		}
+	})
+	t.Run("released", func(t *testing.T) {
+		drainPool()
+		defer drainPool()
+		from := arraysFreed.Load()
+		im := NewImage(DefaultBase, size)
+		im.WriteU64(DefaultBase, 1)
+		im.Release()
+		im = nil
+		for i := 0; i < 3; i++ {
+			runtime.GC()
+			time.Sleep(time.Millisecond)
+		}
+		if n := arraysFreed.Load() - from; n != 0 {
+			t.Fatalf("%d arrays freed after releasing an image into the pool, want 0", n)
+		}
+		// The pooled array is intact: the next image of its size uses it.
+		b := NewImage(DefaultBase, size)
+		b.WriteU64(DefaultBase+size-8, 2)
+		if b.ReadU64(DefaultBase) != 0 || b.ReadU64(DefaultBase+size-8) != 2 {
+			t.Error("recycled array misread")
+		}
+		b.Release()
+	})
+	t.Run("dropped-by-pool", func(t *testing.T) {
+		drainPool()
+		defer drainPool()
+		from := arraysFreed.Load()
+		ims := make([]*Image, 2*runtime.GOMAXPROCS(0)+1)
+		for i := range ims {
+			ims[i] = NewImage(DefaultBase, size)
+		}
+		for _, im := range ims {
+			im.Release()
+		}
+		if n := arraysFreed.Load() - from; n != 1 {
+			t.Fatalf("the pool freed %d arrays after one release past its bound, want 1", n)
+		}
+	})
 }
 
 // TestNewImageRecycles: NewImage takes a released array of its size,

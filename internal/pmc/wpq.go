@@ -60,6 +60,11 @@ type WPQ struct {
 	OnAdmit func(admit sim.Time, blk mem.Addr)
 }
 
+// coalesceTables recycles the coalescing tables' arrays between
+// machines, one per P (a machine has one WPQ per PM controller, one in
+// the paper's configuration).
+var coalesceTables = mem.NewFreeList[uint64, []sim.Time](1)
+
 // NewWPQ creates a write-pending queue of the given capacity in front of
 // ctrl's media write banks. The queue serves the PM region
 // [base, base+memBytes): its per-block coalescing table is a block table
@@ -68,8 +73,12 @@ func NewWPQ(ctrl *Controller, capacity int, base mem.Addr, memBytes uint64) *WPQ
 	if capacity < 1 {
 		panic("pmc: WPQ capacity must be ≥ 1")
 	}
-	return &WPQ{cap: capacity, ctrl: ctrl, blocks: mem.NewBlockTable[sim.Time]("pmc: WPQ", base, memBytes), minDone: sim.Forever}
+	return &WPQ{cap: capacity, ctrl: ctrl, blocks: mem.NewBlockTable("pmc: WPQ", base, memBytes, coalesceTables), minDone: sim.Forever}
 }
+
+// Release returns the coalescing table's array to its free list. The
+// queue must not be used afterwards; a second call is a no-op.
+func (w *WPQ) Release() { w.blocks.Release() }
 
 // Accept admits a write to blk arriving at the controller at time `now`.
 // It returns the admission time (the durability point — equal to now

@@ -79,6 +79,18 @@ type Workload interface {
 	Verify(img *mem.Image, completedOps uint64) error
 }
 
+// LogFree is implemented by a workload whose threads never open a
+// failure-atomic section, so they never append to their undo logs: the
+// litmus programs, which order their stores with the design's barriers
+// alone. The harness skips the log warm-up (fatomic.Runtime.WarmLog) for
+// such a workload. The warm-up's 1,024 stores per thread would only fill
+// the caches and the persisted image with log lines the run never
+// touches again.
+type LogFree interface {
+	// LogFree marks the workload; the harness only tests for it.
+	LogFree()
+}
+
 // factories builds fresh instances (workloads carry per-run state such
 // as root addresses).
 var factories = []func() Workload{
