@@ -177,6 +177,12 @@ go run ./cmd/pmemspec-crash -workload queue -threads 2 -ops 12 -points 3 -maxus 
 	-metrics-out /tmp/pmemspec-campaign-metrics-p8.json >/dev/null
 cmp /tmp/pmemspec-campaign-p1.json /tmp/pmemspec-campaign-p8.json
 cmp /tmp/pmemspec-campaign-metrics-p1.json /tmp/pmemspec-campaign-metrics-p8.json
+# Without -metrics-out no trial takes a metrics snapshot; the report
+# must not change.
+go run ./cmd/pmemspec-crash -workload queue -threads 2 -ops 12 -points 3 -maxus 100 \
+	-boundaries -boundary-budget 2 -inject-stale-ns 4000 -inject-count 3 \
+	-parallel 1 -report /tmp/pmemspec-campaign-nometrics.json >/dev/null
+cmp /tmp/pmemspec-campaign-p1.json /tmp/pmemspec-campaign-nometrics.json
 
 stage metrics-determinism "metrics grid determinism (pool width 1 vs 8)"
 # The observability layer's acceptance check: the (design, workload)

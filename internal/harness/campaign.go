@@ -180,6 +180,8 @@ func (r *Runner) RunCampaign(cfg CampaignConfig) (CampaignReport, error) {
 	specs := cfg.cellSpecs()
 	jobs := make([]Job[cell], len(specs))
 	for i := range specs {
+		// The metrics grid is the only reader of the outcomes' snapshots.
+		specs[i].Metrics = r.Metrics != nil
 		spec := specs[i]
 		jobs[i] = Job[cell]{
 			Label: fmt.Sprintf("crash: %s / %s", spec.Design, spec.Workload),

@@ -39,8 +39,9 @@ type CrashOutcome struct {
 	Injected  InjectionStats // synthetic misspeculation events raised by the injector
 	VerifyErr error          // non-nil: a crash-consistency violation
 	Err       error          // non-nil: the trial itself failed to run (machine error, panic)
-	// Metrics is the trial's observability snapshot (set whenever the
-	// machine ran, even if the trial crashed or failed verification).
+	// Metrics is the trial's observability snapshot, taken only when its
+	// TrialSpec asked for one (set whenever the machine ran, even if the
+	// trial crashed or failed verification).
 	Metrics metrics.Snapshot `json:"-"`
 }
 
@@ -65,6 +66,12 @@ type TrialSpec struct {
 	// outcome is extracted, and its PM images are recycled into later
 	// machines.
 	Instrument func(*machine.Machine)
+	// Metrics asks for each outcome's observability snapshot
+	// (CrashOutcome.Metrics). A snapshot of a small run costs about as
+	// much as the run itself, so only callers that read it ask: the
+	// campaign and CrashSweep do when their runner has a metrics grid;
+	// the model checker never does.
+	Metrics bool
 }
 
 // errSwept stops a sweep's run once its last crash point is captured.
@@ -121,11 +128,12 @@ func runTrial(spec TrialSpec, w workload.Workload) (CrashOutcome, error) {
 // The points must ascend; a NoCrash point may only come last.
 //
 // A kernel watch at each crash instant captures the point. It records
-// the runtime, injection and metrics counters so far. It then runs §6
-// recovery and the invariant checks on a copy of the persisted image,
-// which is what a power failure there leaves: a crash only discards
-// volatile state. A watch does not perturb dispatch, so each outcome
-// equals that of a run re-simulated to its point and crashed there.
+// the runtime and injection counters so far, and the metrics snapshot
+// if spec asks for one. It then runs §6 recovery and the invariant
+// checks on a copy of the persisted image, which is what a power
+// failure there leaves: a crash only discards volatile state. A watch
+// does not perturb dispatch, so each outcome equals that of a run
+// re-simulated to its point and crashed there.
 //
 // The run stops after the last crash point, unless a NoCrash point runs
 // it to completion. If the run fails first, the points it never reached
@@ -156,7 +164,7 @@ func runSweep(spec TrialSpec, w workload.Workload, pts []CrashPoint, bounds *Bou
 		return outs
 	}
 	// Recycle the PM images once the outcomes are extracted, so the
-	// next run's machine clears only their dirty prefixes.
+	// next run's machine clears only their written extents.
 	defer m.Release()
 	os := osint.New(m)
 	rt := fatomic.New(m, persist.ForDesign(spec.Design), os, spec.Mode)
@@ -204,7 +212,9 @@ func runSweep(spec TrialSpec, w workload.Workload, pts []CrashPoint, bounds *Bou
 	counters := func(o *CrashOutcome) {
 		o.Runtime = rt.Stats
 		o.Injected = injected
-		o.Metrics = runMetrics(m, rt, os)
+		if spec.Metrics {
+			o.Metrics = runMetrics(m, rt, os)
+		}
 	}
 	var img *mem.Image // the run's scratch copy of the persisted image
 	defer func() {
@@ -482,7 +492,7 @@ func (r *Runner) CrashSweep(design machine.Design, name string, p workload.Param
 	if r.Progress != nil {
 		r.Progress(fmt.Sprintf("crash: %s / %s", design, name))
 	}
-	outs := runSweep(TrialSpec{Design: design, Workload: name, Params: p, Opts: opts}, w, pts, nil)
+	outs := runSweep(TrialSpec{Design: design, Workload: name, Params: p, Opts: opts, Metrics: r.Metrics != nil}, w, pts, nil)
 	for _, o := range outs {
 		r.Metrics.Add(o.Design.String(), o.Workload, o.Metrics)
 	}

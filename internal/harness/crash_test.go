@@ -206,7 +206,7 @@ func TestRecycledImagesLeakNoState(t *testing.T) {
 	queue := TrialSpec{Design: machine.PMEMSpec, Workload: "queue",
 		Params: params("queue", 2, 40, 7),
 		Point:  CrashPoint{AtNS: 225_000, Label: "mid"},
-		Inject: InjectionPlan{StalePeriodNS: 3_000, OOOPeriodNS: 5_000}}
+		Inject: InjectionPlan{StalePeriodNS: 3_000, OOOPeriodNS: 5_000}, Metrics: true}
 	tpcc := TrialSpec{Design: machine.IntelX86, Workload: "tpcc",
 		Params: params("tpcc", 4, 100, 7), Point: CrashPoint{AtNS: 200_000, Label: "early"}}
 	run := func(specs ...TrialSpec) []CrashOutcome {
@@ -242,7 +242,7 @@ func TestRecycledImagesLeakNoState(t *testing.T) {
 func TestRecycledCachesLeakNoState(t *testing.T) {
 	queue := TrialSpec{Design: machine.PMEMSpec, Workload: "queue",
 		Params: params("queue", 2, 40, 7),
-		Point:  CrashPoint{AtNS: 225_000, Label: "mid"}}
+		Point:  CrashPoint{AtNS: 225_000, Label: "mid"}, Metrics: true}
 	first, err := RunTrial(queue)
 	if err != nil || first.VerifyErr != nil || !first.Crashed {
 		t.Fatalf("first trial: err=%v verify=%v crashed=%v", err, first.VerifyErr, first.Crashed)

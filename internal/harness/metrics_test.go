@@ -2,10 +2,12 @@ package harness
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"pmemspec/internal/machine"
 	"pmemspec/internal/metrics"
+	"pmemspec/internal/workload"
 )
 
 // metricsGrid runs every design over one small workload at the given
@@ -119,5 +121,55 @@ func TestCrashTrialMetrics(t *testing.T) {
 	cell := r.Metrics.Cell(machine.PMEMSpec.String(), "queue")
 	if m, ok := cell.Get("machine", "stores"); !ok || m.Value == 0 {
 		t.Fatal("crash-trial grid cell missing machine.stores")
+	}
+}
+
+// TestTrialMetricsOnRequest: a trial that does not ask for a metrics
+// snapshot gets none, and otherwise the same outcome, field for field,
+// as one that asks, at crash points in setup and in the kernel and at
+// the end of the run. A campaign without a metrics grid likewise writes
+// the report of one with a grid.
+func TestTrialMetricsOnRequest(t *testing.T) {
+	spec := TrialSpec{Design: machine.PMEMSpec, Workload: "queue",
+		Params: params("queue", 2, 40, 7),
+		Inject: InjectionPlan{StalePeriodNS: 3_000, OOOPeriodNS: 5_000}}
+	// The queue run's setup ends near 220 µs (see
+	// TestRecycledImagesLeakNoState).
+	pts := []CrashPoint{{AtNS: 100_000, Label: "setup"}, {AtNS: 225_000, Label: "kernel"}, NoCrash}
+	sweep := func(spec TrialSpec) []CrashOutcome {
+		w, err := workload.ByName(spec.Workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return runSweep(spec, w, pts, nil)
+	}
+	plain := sweep(spec)
+	spec.Metrics = true
+	asked := sweep(spec)
+	for i := range plain {
+		if plain[i].Metrics != nil {
+			t.Errorf("%s: a trial that did not ask got a snapshot", plain[i].Label)
+		}
+		if len(asked[i].Metrics) == 0 {
+			t.Errorf("%s: a trial that asked got no snapshot", asked[i].Label)
+		}
+		asked[i].Metrics = nil
+		if got, want := keyOf(plain[i]), keyOf(asked[i]); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: outcomes differ without the snapshot:\nplain: %+v\nasked: %+v", plain[i].Label, got, want)
+		}
+	}
+
+	cfg := smallCampaign()
+	cfg.Designs = []machine.Design{machine.PMEMSpec}
+	without, err := (&Runner{}).RunCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	with, err := (&Runner{Metrics: metrics.NewGrid()}).RunCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(without, with) {
+		t.Error("a campaign without a metrics grid wrote another report than one with a grid")
 	}
 }

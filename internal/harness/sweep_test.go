@@ -199,6 +199,7 @@ func TestSweepMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, spec := range tc.cfg.cellSpecs() {
+				spec.Metrics = true
 				outs, derr := tc.cfg.sweepCell(spec, uniform)
 				if derr != nil {
 					t.Logf("%s/%s: discovery failed, uniform points only: %v", spec.Design, spec.Workload, derr)
@@ -239,7 +240,7 @@ func TestSweepAfterRunFailure(t *testing.T) {
 	}
 	spec := TrialSpec{Design: machine.PMEMSpec, Workload: "queue",
 		Params: params("queue", 2, 20, 1),
-		Inject: InjectionPlan{StalePeriodNS: 4000}}
+		Inject: InjectionPlan{StalePeriodNS: 4000}, Metrics: true}
 	probe := runSweep(spec, newW(), []CrashPoint{NoCrash}, nil)[0]
 	if probe.Err == nil || failedAt == 0 {
 		t.Fatalf("the failing workload did not fail: err=%v at %d", probe.Err, failedAt)

@@ -190,8 +190,11 @@ func (p Pattern) storeOwner(v int) int {
 func storeValue(v, k int) uint64 { return uint64(v*8+k) + 1 }
 
 // FinalValue is the value variable v holds after a complete run.
-func (p Pattern) FinalValue(v int) uint64 {
-	counts := p.storeCounts()
+func (p Pattern) FinalValue(v int) uint64 { return finalValue(p.storeCounts(), v) }
+
+// finalValue is FinalValue given the pattern's store counts: the value
+// of the last store to v, or zero if nothing stores v.
+func finalValue(counts []int, v int) uint64 {
 	if counts[v] == 0 {
 		return 0
 	}
@@ -215,8 +218,8 @@ func (p Pattern) Classify(vec []uint64) (commitWithoutData bool, err error) {
 			return false, fmt.Errorf("var %d holds %d, never written", v, got)
 		}
 	}
-	commitFinal := p.FinalValue(Commit)
-	return commitFinal != 0 && vec[Commit] == commitFinal && vec[Data] != p.FinalValue(Data), nil
+	commitFinal := finalValue(counts, Commit)
+	return commitFinal != 0 && vec[Commit] == commitFinal && vec[Data] != finalValue(counts, Data), nil
 }
 
 // LowerKind maps one litmus op kind to its order-lattice event on a

@@ -73,7 +73,7 @@ func TestLogFreeSkipsWarmup(t *testing.T) {
 			})
 			t.Run(fmt.Sprintf("%s/%s/trial", p.Name, d), func(t *testing.T) {
 				lp := &logProbe{Program: NewProgram(p), threads: params.Threads}
-				out, err := harness.RunTrialWith(harness.TrialSpec{Design: d, Params: params, Point: harness.NoCrash}, lp)
+				out, err := harness.RunTrialWith(harness.TrialSpec{Design: d, Params: params, Point: harness.NoCrash, Metrics: true}, lp)
 				if err == nil {
 					err = out.VerifyErr
 				}

@@ -518,7 +518,7 @@ func (m *Machine) ScheduleCrash(at sim.Time) {
 // and the measured kernel, so crash-recovery checks start from a durable
 // baseline regardless of how lazily the design would have persisted the
 // setup stores. It takes no simulated time. The copy is in place and
-// covers only the dirty prefixes, so its cost tracks the bytes written.
+// covers only the written extents, so its cost tracks the bytes written.
 func (m *Machine) SyncPersistedToArch() {
 	m.space.PM.CopyFrom(m.space.Arch)
 	m.notifyPersist()

@@ -2,7 +2,7 @@ package mc
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"pmemspec/internal/analysis/dataflow"
 	"pmemspec/internal/harness"
@@ -210,7 +210,13 @@ func runCell(p litmus.Pattern, od dataflow.OrderDesign, md machine.Design, maxSc
 	return cell
 }
 
+// runTrial runs a schedule's trial. It is a variable so that tests can
+// inspect the outcomes runSchedule discards.
+var runTrial = harness.RunTrialWith
+
 // runSchedule executes one schedule and returns its crash-image chain.
+// The chain is all it reads of the trial, so the trial takes no metrics
+// snapshot.
 func runSchedule(p litmus.Pattern, md machine.Design, script []int) ([][]uint64, error) {
 	prog := litmus.NewProgram(p)
 	r := newReplayer(prog, script, p.NThreads())
@@ -221,7 +227,7 @@ func runSchedule(p litmus.Pattern, md machine.Design, script []int) ([][]uint64,
 		Point:      harness.NoCrash,
 		Instrument: r.install,
 	}
-	out, err := harness.RunTrialWith(spec, prog)
+	out, err := runTrial(spec, prog)
 	if err != nil {
 		return nil, err
 	}
@@ -232,11 +238,12 @@ func runSchedule(p litmus.Pattern, md machine.Design, script []int) ([][]uint64,
 }
 
 // fingerprint is the persistence-state key used to prune equivalent
-// crash images across schedules.
+// crash images across schedules: each value in decimal, then a comma.
 func fingerprint(vec []uint64) string {
-	var b strings.Builder
+	b := make([]byte, 0, 4*len(vec))
 	for _, v := range vec {
-		fmt.Fprintf(&b, "%d,", v)
+		b = strconv.AppendUint(b, v, 10)
+		b = append(b, ',')
 	}
-	return b.String()
+	return string(b)
 }

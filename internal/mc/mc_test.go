@@ -404,3 +404,24 @@ func TestChainCoversCrashSweep(t *testing.T) {
 	}
 	t.Logf("%d of %d crash images missing from the chains", missing, total)
 }
+
+// TestScheduleTakesNoSnapshot: a model-checker schedule reads only its
+// crash-image chain, so its trial asks for no metrics snapshot and its
+// outcome carries none.
+func TestScheduleTakesNoSnapshot(t *testing.T) {
+	run := runTrial
+	defer func() { runTrial = run }()
+	trials := 0
+	runTrial = func(spec harness.TrialSpec, w workload.Workload) (harness.CrashOutcome, error) {
+		out, err := run(spec, w)
+		trials++
+		if spec.Metrics || out.Metrics != nil {
+			t.Errorf("%s: schedule trial asked for a snapshot (%v) or got one of %d metrics", w.Name(), spec.Metrics, len(out.Metrics))
+		}
+		return out, err
+	}
+	rep := RunCorpus([]litmus.Pattern{mustPattern(t, "flush-order"), mustPattern(t, "mt-cross-bare")}, Options{Parallel: 1})
+	if !rep.Ok() || trials == 0 || int64(trials) != rep.Schedules {
+		t.Fatalf("%d schedule trials observed: %s", trials, rep.Summary())
+	}
+}

@@ -50,6 +50,9 @@ func (f *FreeList[K, V]) Get(key K) (v V, ok bool) {
 	return v, false
 }
 
+// limit is how many values the list holds at most.
+func (f *FreeList[K, V]) limit() int { return f.perP * runtime.GOMAXPROCS(0) }
+
 // Put releases v under key. The caller must not use v afterwards: the
 // next Get of key hands it to a new owner. When the list is full, Put
 // first drops its least recently released value and returns it with ok
@@ -57,7 +60,7 @@ func (f *FreeList[K, V]) Get(key K) (v V, ok bool) {
 func (f *FreeList[K, V]) Put(key K, v V) (dropped V, ok bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if len(f.free) >= f.perP*runtime.GOMAXPROCS(0) {
+	if len(f.free) >= f.limit() {
 		dropped, ok = f.free[0].v, true
 		f.free = slices.Delete(f.free, 0, 1)
 	}

@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
 	"sync/atomic"
 )
@@ -38,11 +39,13 @@ func SameBlock(a, b Addr) bool { return BlockAlign(a) == BlockAlign(b) }
 type Image struct {
 	base Addr
 	data []byte
-	// hwm is one past the highest byte ever written — the dirty prefix.
-	// Everything at or beyond hwm is still zero, so a recycled image only
-	// has to clear [0, hwm) instead of its full (typically 64 MB) length,
-	// and a copy only has to copy it.
-	hwm uint64
+	// [lo, hi) is the written extent: it covers every byte ever written,
+	// so everything outside it is still zero. A recycled image only has
+	// to clear the extent instead of its full (typically 64 MB) length,
+	// and a copy only has to copy it. An image nothing was written to
+	// has lo > hi (see clean), so a write widens the extent with one
+	// compare per end.
+	lo, hi uint64
 	// free frees a large image's array (see allocImage) if the image
 	// becomes unreachable unreleased; Release stops it.
 	free runtime.Cleanup
@@ -51,10 +54,11 @@ type Image struct {
 // imagePool recycles the large backing arrays between runs, keyed by
 // size. Zeroing a fresh multi-megabyte image per (design, workload) grid
 // cell was ~10% of fig10 wall-clock; recycled images clear only their
-// dirty prefix. It keeps up to two arrays (a machine's two images) per
-// P and frees the arrays it drops. Small images (tests) bypass the pool
-// and stay on the Go heap.
-var imagePool = NewFreeList[uint64, *Image](2)
+// written extent. It keeps up to three arrays per P, what one crash
+// sweep holds at once (a machine's two images and the sweep's scratch
+// copy of PM), and frees the arrays it drops. Small images (tests)
+// bypass the pool and stay on the Go heap.
+var imagePool = NewFreeList[uint64, *Image](3)
 
 const imagePoolMin = 1 << 20
 
@@ -66,13 +70,13 @@ var arraysFreed atomic.Int64
 func NewImage(base Addr, size uint64) *Image {
 	im := allocImage(size)
 	im.base = base
-	clear(im.data[:im.hwm])
-	im.hwm = 0
+	im.clearRange(im.lo, im.hi)
+	im.clean()
 	return im
 }
 
-// allocImage returns an image of size bytes whose dirty prefix [0, hwm)
-// has NOT been cleared — NewImage zeroes it, Clone overwrites it through
+// allocImage returns an image of size bytes whose written extent has
+// NOT been cleared — NewImage zeroes it, Clone overwrites it through
 // CopyFrom. A small image is a fresh Go slice. A large one owns a
 // recycled array or a fresh one from newArray, and a cleanup frees the
 // array if the image is dropped without Release.
@@ -109,7 +113,7 @@ func (im *Image) Release() {
 		im.free.Stop()
 		// Pool a fresh wrapper rather than im itself: the caller still
 		// holds im, and a pooled object must have exactly one owner.
-		if old, dropped := imagePool.Put(uint64(len(d)), &Image{data: d, hwm: im.hwm}); dropped {
+		if old, dropped := imagePool.Put(uint64(len(d)), &Image{data: d, lo: im.lo, hi: im.hi}); dropped {
 			freeLarge(old.data)
 		}
 	}
@@ -147,13 +151,27 @@ func (im *Image) ReadU64(a Addr) uint64 {
 func (im *Image) WriteU64(a Addr, v uint64) {
 	i := im.index(a, 8)
 	binary.LittleEndian.PutUint64(im.data[i:], v)
-	im.dirty(i + 8)
+	im.dirty(i, i+8)
 }
 
-// dirty extends the written prefix to cover [0, end).
-func (im *Image) dirty(end uint64) {
-	if end > im.hwm {
-		im.hwm = end
+// dirty widens the written extent to cover [start, end).
+func (im *Image) dirty(start, end uint64) {
+	if start < im.lo {
+		im.lo = start
+	}
+	if end > im.hi {
+		im.hi = end
+	}
+}
+
+// clean marks the image unwritten: an empty extent that the first
+// write replaces.
+func (im *Image) clean() { im.lo, im.hi = math.MaxUint64, 0 }
+
+// clearRange zeroes [start, end), if it is not empty.
+func (im *Image) clearRange(start, end uint64) {
+	if start < end {
+		clear(im.data[start:end])
 	}
 }
 
@@ -167,7 +185,7 @@ func (im *Image) Read(a Addr, p []byte) {
 func (im *Image) Write(a Addr, p []byte) {
 	i := im.index(a, len(p))
 	copy(im.data[i:], p)
-	im.dirty(i + uint64(len(p)))
+	im.dirty(i, i+uint64(len(p)))
 }
 
 // ReadBlock returns a copy of the cache block containing a.
@@ -190,25 +208,26 @@ func (im *Image) Clone() *Image {
 }
 
 // CopyFrom makes im a byte-identical copy of src, which must have the
-// same size. Everything past a dirty prefix is zero, so it copies only
-// src's dirty prefix and clears only im's stale bytes beyond it.
+// same size. Everything outside a written extent is zero, so it copies
+// only src's extent and clears only im's stale bytes outside it.
 func (im *Image) CopyFrom(src *Image) {
 	if len(im.data) != len(src.data) {
 		panic(fmt.Sprintf("mem: copy of a %d-byte image into a %d-byte one", len(src.data), len(im.data)))
 	}
 	im.base = src.base
-	copy(im.data, src.data[:src.hwm])
-	if im.hwm > src.hwm {
-		clear(im.data[src.hwm:im.hwm])
+	if src.lo < src.hi {
+		copy(im.data[src.lo:src.hi], src.data[src.lo:src.hi])
 	}
-	im.hwm = src.hwm
+	im.clearRange(im.lo, min(im.hi, src.lo))
+	im.clearRange(max(im.lo, src.hi), im.hi)
+	im.lo, im.hi = src.lo, src.hi
 }
 
 // BlockSlice returns the image's backing bytes for the cache block
 // containing a, aliasing the image storage (no copy). Callers must not
 // retain the slice across image writes, and must treat it as read-only:
-// mutations have to go through Write/WriteU64/WriteBlock so the dirty
-// prefix used by image recycling and copying stays accurate. It exists
+// mutations have to go through Write/WriteU64/WriteBlock so the written
+// extent used by image recycling and copying stays accurate. It exists
 // for the simulator's per-access hot paths, where the block-sized value
 // copies of ReadBlock/WriteBlock dominated.
 func (im *Image) BlockSlice(a Addr) []byte {
@@ -221,7 +240,8 @@ func (im *Image) BlockSlice(a Addr) []byte {
 // images must cover the block.
 func (im *Image) CopyBlockFrom(src *Image, a Addr) {
 	copy(im.BlockSlice(a), src.BlockSlice(a))
-	im.dirty(uint64(BlockAlign(a)-im.base) + BlockSize)
+	i := uint64(BlockAlign(a) - im.base)
+	im.dirty(i, i+BlockSize)
 }
 
 // Space is the simulated PM region: an architectural image plus the

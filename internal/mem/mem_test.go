@@ -126,14 +126,14 @@ func pattern(n uint64, tag byte) []byte {
 	return p
 }
 
-// fillImage writes pattern(n, tag) at the image base, leaving a dirty
-// prefix of exactly n bytes.
+// fillImage writes pattern(n, tag) at the image base, leaving a written
+// extent of exactly [0, n).
 func fillImage(im *Image, n uint64, tag byte) { im.Write(im.Base(), pattern(n, tag)) }
 
 // TestImageClone covers both copy paths, Clone and the in-place
 // CopyFrom, into fresh and into recycled destinations. A recycled array
-// keeps its old dirty prefix, shorter than, equal to or longer than the
-// source's; the copy must clear whatever of it the source does not
+// keeps its old written prefix, shorter than, equal to or longer than
+// the source's; the copy must clear whatever of it the source does not
 // overwrite. Every byte up to the larger prefix plus one block must
 // match the source.
 func TestImageClone(t *testing.T) {
@@ -141,8 +141,8 @@ func TestImageClone(t *testing.T) {
 	cases := []struct {
 		name    string
 		size    uint64
-		src     uint64 // source dirty prefix
-		stale   uint64 // destination's old dirty prefix; 0 = fresh array
+		src     uint64 // source's written prefix
+		stale   uint64 // destination's old written prefix; 0 = fresh array
 		inPlace bool   // CopyFrom into an existing image instead of Clone
 	}{
 		{name: "small/clone", size: 256, src: 16},
@@ -186,9 +186,9 @@ func TestImageClone(t *testing.T) {
 				}
 			}
 			defer dst.Release()
-			if dst.Base() != src.Base() || dst.Size() != src.Size() || dst.hwm != src.hwm {
-				t.Fatalf("geometry: base %#x size %d prefix %d, want %#x %d %d",
-					uint64(dst.Base()), dst.Size(), dst.hwm, uint64(src.Base()), src.Size(), src.hwm)
+			if dst.Base() != src.Base() || dst.Size() != src.Size() || dst.lo != src.lo || dst.hi != src.hi {
+				t.Fatalf("geometry: base %#x size %d extent [%d, %d), want %#x %d [%d, %d)",
+					uint64(dst.Base()), dst.Size(), dst.lo, dst.hi, uint64(src.Base()), src.Size(), src.lo, src.hi)
 			}
 			end := min(max(c.src, c.stale)+BlockSize, c.size)
 			for i := uint64(0); i < end; i++ {
@@ -204,6 +204,120 @@ func TestImageClone(t *testing.T) {
 			}
 		})
 	}
+}
+
+// span is one write of an extent test: n pattern bytes at offset off.
+type span struct{ off, n uint64 }
+
+// writeSpans writes each span's pattern, tagged tag, into im.
+func writeSpans(im *Image, tag byte, spans []span) {
+	for i, sp := range spans {
+		im.Write(im.Base()+Addr(sp.off), pattern(sp.n, tag+byte(16*i)))
+	}
+}
+
+// freshImage is an image on an array nothing has used before, with
+// spans written: what every recycled or copied image must equal.
+func freshImage(size uint64, tag byte, spans []span) *Image {
+	im := &Image{base: DefaultBase, data: make([]byte, size)}
+	im.clean()
+	writeSpans(im, tag, spans)
+	return im
+}
+
+// TestImageExtent: NewImage over a recycled array, and Clone and
+// CopyFrom into a destination holding stale writes, for source and
+// destination extents that are empty, disjoint, nested or overlapping.
+// Each result must equal, byte for byte and extent for extent, a fresh
+// image written the same way as the source.
+func TestImageExtent(t *testing.T) {
+	const size = imagePoolMin
+	cases := []struct {
+		name       string
+		src, stale []span
+	}{
+		{name: "both-empty"},
+		{name: "empty-source", stale: []span{{1000, 4000}}},
+		{name: "empty-destination", src: []span{{2000, 1000}}},
+		{name: "disjoint/stale-below", src: []span{{135168, 128}}, stale: []span{{100, 800}}},
+		{name: "disjoint/stale-above", src: []span{{4096, 104}}, stale: []span{{70000, 100}}},
+		{name: "disjoint/stale-on-both-sides", src: []span{{8192, 64}}, stale: []span{{64, 64}, {200000, 64}}},
+		{name: "nested/source-inside", src: []span{{4000, 1000}}, stale: []span{{1000, 8000}}},
+		{name: "nested/stale-inside", src: []span{{1000, 8000}}, stale: []span{{4000, 1000}}},
+		{name: "nested/stale-in-source-gap", src: []span{{100, 100}, {60000, 100}}, stale: []span{{5000, 1000}}},
+		{name: "overlap/stale-lower", src: []span{{3000, 5000}}, stale: []span{{1000, 4000}}},
+		{name: "overlap/stale-higher", src: []span{{1000, 4000}}, stale: []span{{3000, 5000}}},
+		{name: "equal", src: []span{{4096, 512}}, stale: []span{{4096, 512}}},
+		{name: "image-end", src: []span{{size - BlockSize, BlockSize}}, stale: []span{{0, 64}, {size - 8, 8}}},
+	}
+	// staleImage returns a pooled image holding the case's stale writes.
+	staleImage := func(stale []span) *Image {
+		im := NewImage(DefaultBase, size)
+		writeSpans(im, 0x80, stale)
+		return im
+	}
+	// check compares got with the fresh image written like the source.
+	check := func(t *testing.T, what string, got *Image, src []span) {
+		t.Helper()
+		want := freshImage(size, 0x10, src)
+		if got.lo != want.lo || got.hi != want.hi {
+			t.Errorf("%s: extent [%d, %d), want [%d, %d)", what, got.lo, got.hi, want.lo, want.hi)
+		}
+		if i := firstDiff(got.data, want.data); i >= 0 {
+			t.Errorf("%s: byte %d = %#x, a fresh image holds %#x", what, i, got.data[i], want.data[i])
+		}
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			t.Run("new-image", func(t *testing.T) {
+				drainPool()
+				defer drainPool()
+				old := staleImage(c.stale)
+				array := &old.data[0]
+				old.Release()
+				im := NewImage(DefaultBase, size)
+				defer im.Release()
+				if &im.data[0] != array {
+					t.Fatal("NewImage did not recycle the stale array")
+				}
+				writeSpans(im, 0x10, c.src)
+				check(t, "NewImage", im, c.src)
+			})
+			t.Run("clone", func(t *testing.T) {
+				drainPool()
+				defer drainPool()
+				src := freshImage(size, 0x10, c.src)
+				old := staleImage(c.stale)
+				array := &old.data[0]
+				old.Release()
+				cl := src.Clone()
+				defer cl.Release()
+				if &cl.data[0] != array {
+					t.Fatal("Clone did not recycle the stale array")
+				}
+				check(t, "Clone", cl, c.src)
+			})
+			t.Run("copy-from", func(t *testing.T) {
+				drainPool()
+				defer drainPool()
+				src := freshImage(size, 0x10, c.src)
+				dst := staleImage(c.stale)
+				defer dst.Release()
+				dst.CopyFrom(src)
+				check(t, "CopyFrom", dst, c.src)
+			})
+		})
+	}
+}
+
+// firstDiff returns the first index where a and b differ, or -1.
+func firstDiff(a, b []byte) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
 }
 
 // drainPool empties the recycle pool, freeing its arrays.
@@ -272,7 +386,7 @@ func TestImageArraysFreed(t *testing.T) {
 		drainPool()
 		defer drainPool()
 		from := arraysFreed.Load()
-		ims := make([]*Image, 2*runtime.GOMAXPROCS(0)+1)
+		ims := make([]*Image, imagePool.limit()+1)
 		for i := range ims {
 			ims[i] = NewImage(DefaultBase, size)
 		}
@@ -286,7 +400,7 @@ func TestImageArraysFreed(t *testing.T) {
 }
 
 // TestNewImageRecycles: NewImage takes a released array of its size,
-// with the dirty prefix cleared, and leaves an array of another size for
+// with the written extent cleared, and leaves an array of another size for
 // its own size. The pool's policy is TestFreeListPolicy's.
 func TestNewImageRecycles(t *testing.T) {
 	const size = imagePoolMin
@@ -305,7 +419,7 @@ func TestNewImageRecycles(t *testing.T) {
 	if array(b) != wantA {
 		t.Error("NewImage did not recycle the released array")
 	}
-	if b.ReadU64(DefaultBase+size-8) != 0 || b.hwm != 0 {
+	if b.ReadU64(DefaultBase+size-8) != 0 || b.lo <= b.hi {
 		t.Error("recycled image not cleared")
 	}
 	c := NewImage(DefaultBase, 2*size)
@@ -342,7 +456,7 @@ func TestImagePoolConcurrent(t *testing.T) {
 				want := make([]byte, size)
 				copy(want, pattern(n, tag))
 				for i, x := range []*Image{im, c, d} {
-					if !bytes.Equal(x.data, want) || x.hwm != n {
+					if !bytes.Equal(x.data, want) || x.lo != 0 || x.hi != n {
 						errs <- fmt.Errorf("worker %d round %d: image %d differs from its own pattern", w, r, i)
 						return
 					}
@@ -459,6 +573,7 @@ func TestHeapExhaustionPanics(t *testing.T) {
 
 func TestHeapAllocFreeProperty(t *testing.T) {
 	s := NewSpace(1 << 20)
+	defer s.Release()
 	h := NewHeap(s, 0)
 	live := make(map[Addr]uint64)
 	f := func(sizes []uint16) bool {
@@ -536,7 +651,9 @@ func TestImageReleaseIdempotent(t *testing.T) {
 	// backing array into the pool twice, so two later images aliased it.
 	im.Release()
 	a := NewImage(DefaultBase, size)
+	defer a.Release()
 	b := NewImage(DefaultBase, size)
+	defer b.Release()
 	a.WriteU64(DefaultBase, 1)
 	if got := b.ReadU64(DefaultBase); got != 0 {
 		t.Fatalf("images allocated after a double release share a backing array (read %d)", got)
